@@ -10,7 +10,7 @@ check: lint-panics lint-paths
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/parallel/ ./internal/routing/
-	$(GO) test -run=TestBatchedSweepPropagationConservation -count=1 ./internal/experiment/
+	$(GO) test -run=TestSweepPropagationConservation -count=1 ./internal/experiment/
 	$(GO) test -run='^$$' -fuzz=FuzzPathCodec -fuzztime=10s ./internal/bgp/
 	$(MAKE) bench-smoke
 	$(MAKE) scale-smoke
@@ -46,7 +46,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/parallel/ ./internal/routing/ ./internal/core/ ./internal/experiment/ ./internal/measure/ ./internal/serve/
+	$(GO) test -race ./...
 
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzPathCodec -fuzztime=10s ./internal/bgp/
@@ -54,7 +54,6 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDetect -fuzztime=10s ./internal/detect/
 	$(GO) test -run='^$$' -fuzz=FuzzSerial2 -fuzztime=10s ./internal/topology/
 	$(GO) test -run='^$$' -fuzz='^FuzzPropagateBatch$$' -fuzztime=10s ./internal/routing/
-	$(GO) test -run='^$$' -fuzz=FuzzPropagateAttackDeltaBatch -fuzztime=10s ./internal/routing/
 
 # Serving-path smoke (DESIGN §5g): a short self-test replay through the
 # sharded pipeline at the default ring depth must lose nothing under the

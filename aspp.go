@@ -356,7 +356,6 @@ func (in *Internet) UsageSurvey(policy PolicyConfig, survey SurveyConfig) (*Surv
 		def.Workers = survey.Workers
 		def.Seed = survey.Seed
 		def.Counters = survey.Counters
-		def.Batch = survey.Batch
 		if def.Seed == 0 {
 			def.Seed = 1
 		}

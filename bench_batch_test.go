@@ -4,14 +4,13 @@ import (
 	"fmt"
 	"testing"
 
-	"aspp/internal/bgp"
 	"aspp/internal/routing"
 	"aspp/internal/topology"
 )
 
 // BenchmarkBatchVsSerial is the lane-batching ablation at full paper scale
-// (n=4000), shaped like the sweep drivers' baseline-warming leg: K uniform
-// (origin, λ) baselines over a mixed-tier origin set, computed either as K
+// (n=4000), shaped like the usage survey's table leg: K uniform
+// (origin, λ) propagations over a mixed-tier origin set, computed either as K
 // serial PropagateScratch calls on one warmed Scratch or as one K-lane
 // PropagateBatch on one warmed BatchScratch. The batch shares a single
 // frontier walk across all K lanes, so its advantage is amortized graph
@@ -59,99 +58,5 @@ func BenchmarkBatchVsSerial(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkBatchDeltaVsSerial is the PR 8 attack-leg ablation at full
-// paper scale (n=4000), shaped like a sweep's inner loop: K attackers
-// against one victim's memoized λ=4 baseline, in the two shapes a pair
-// sweep actually draws. "stub" is the common case — rule-following stub
-// attackers with small dirty cones, where the serial engine's three
-// O(n) per-call index scans dominate and lane batching amortizes them.
-// "mixed" is the adversarial tail — attackers of every tier, a third of
-// them violating valley-free export, with cones approaching the whole
-// graph — where both engines are compute-bound on the same recompute
-// set and batching only has locality to offer. The serial leg runs K
-// PropagateAttackDelta calls on one warmed Scratch; the batched leg
-// runs one K-lane PropagateAttackDeltaBatch on one warmed BatchScratch,
-// all lanes copy-on-write over the shared baseline under a single
-// frontier walk. The acceptance bar is ≥1.5× geomean over the serial
-// legs with 0 allocs/op once warmed.
-func BenchmarkBatchDeltaVsSerial(b *testing.B) {
-	cfg := topology.DefaultGenConfig(4000)
-	cfg.Seed = 9
-	g, err := topology.Generate(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	asns := g.ASNs()
-	ann := routing.Announcement{Origin: asns[len(asns)/2], Prepend: 4}
-	base, err := routing.Propagate(g, ann)
-	if err != nil {
-		b.Fatal(err)
-	}
-	shapes := []struct {
-		name string
-		atk  func(i int, a bgp.ASN) (routing.Attacker, bool)
-	}{
-		{"stub", func(i int, a bgp.ASN) (routing.Attacker, bool) {
-			ai, _ := g.Index(a)
-			if len(g.CustomersIdx(ai)) > 0 {
-				return routing.Attacker{}, false
-			}
-			return routing.Attacker{AS: a, KeepPrepend: 1 + i%2}, true
-		}},
-		{"mixed", func(i int, a bgp.ASN) (routing.Attacker, bool) {
-			return routing.Attacker{
-				AS:                a,
-				KeepPrepend:       1 + i%2,
-				ViolateValleyFree: i%3 == 0,
-			}, true
-		}},
-	}
-	for _, shape := range shapes {
-		lanes := make([]routing.AttackLane, 0, 64)
-		for i := 0; len(lanes) < cap(lanes); i++ {
-			a := asns[(i*197)%len(asns)]
-			if a == ann.Origin || !base.Reachable(a) {
-				continue
-			}
-			atk, ok := shape.atk(len(lanes), a)
-			if !ok {
-				continue
-			}
-			lanes = append(lanes, routing.AttackLane{Ann: ann, Atk: atk, Baseline: base})
-		}
-		for _, k := range []int{8, 64} {
-			sub := lanes[:k]
-			b.Run(fmt.Sprintf("%s/serial/K=%d", shape.name, k), func(b *testing.B) {
-				b.ReportAllocs()
-				s := routing.NewScratch()
-				if _, err := routing.PropagateAttackDelta(g, ann, sub[0].Atk, base, s); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for _, l := range sub {
-						if _, err := routing.PropagateAttackDelta(g, l.Ann, l.Atk, l.Baseline, s); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-			})
-			b.Run(fmt.Sprintf("%s/batch/K=%d", shape.name, k), func(b *testing.B) {
-				b.ReportAllocs()
-				bs := routing.NewBatchScratch()
-				if _, err := routing.PropagateAttackDeltaBatch(g, sub, bs); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := routing.PropagateAttackDeltaBatch(g, sub, bs); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }

@@ -24,16 +24,20 @@ func goldenRun(t *testing.T, args ...string) []byte {
 	return buf.Bytes()
 }
 
-// TestGoldenFigures pins the exact TSV output of the fig9 (λ sweep) and
-// fig13 (detection accuracy) experiments at a fixed topology and seed. Any
-// engine or model change that shifts a single pollution count, rank or
-// percentage shows up as a byte diff here; intentional changes are
-// re-pinned with -update.
+// TestGoldenFigures pins the exact TSV output of the fig5/fig6 (prepending
+// usage survey), fig9 (λ sweep) and fig13 (detection accuracy) experiments
+// at a fixed topology and seed. Any engine or model change that shifts a
+// single pollution count, rank, fraction or percentage shows up as a byte
+// diff here; intentional changes are re-pinned with -update. The fig5/fig6
+// goldens were pinned with the serial survey table leg, so they also hold
+// the lane-batched leg the survey now always runs to the serial bytes.
 func TestGoldenFigures(t *testing.T) {
 	cases := []struct {
 		name string
 		args []string
 	}{
+		{name: "fig5", args: []string{"-exp", "fig5", "-n", "400", "-seed", "1"}},
+		{name: "fig6", args: []string{"-exp", "fig6", "-n", "400", "-seed", "1"}},
 		{name: "fig9", args: []string{"-exp", "fig9", "-n", "400", "-seed", "1"}},
 		{name: "fig13", args: []string{"-exp", "fig13", "-n", "400", "-seed", "1", "-pairs", "20"}},
 	}

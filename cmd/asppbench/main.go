@@ -30,7 +30,6 @@ import (
 	"aspp"
 	"aspp/internal/defense"
 	"aspp/internal/experiment"
-	"aspp/internal/routing"
 	"aspp/internal/stats"
 )
 
@@ -56,7 +55,6 @@ type benchContext struct {
 	seed     int64
 	pairs    int
 	engine   aspp.EngineKind
-	batch    int
 	// shards/memBudget select the sharded sweep layer (DESIGN §5f): the
 	// pair/sweep/susceptibility drivers partition their candidate spaces
 	// into victim-keyed shards, each with a private baseline cache capped
@@ -93,24 +91,6 @@ var registry = map[string]experimentFunc{
 	"susceptibility": runSusceptibility, // §VI-B tier matrix
 }
 
-// resolveBatch parses the -batch flag once the topology size is known:
-// "auto" sizes the lane width so the batched engines' per-lane state
-// stays cache-resident for this topology, otherwise the value must be an
-// integer lane width in 1..routing.MaxLanes (1 keeps the sweeps serial).
-func resolveBatch(v string, numASes int) (int, error) {
-	if v == "auto" {
-		return routing.AdaptiveLaneWidth(numASes), nil
-	}
-	k, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("-batch: want a lane width or 'auto', got %q", v)
-	}
-	if k < 1 || k > routing.MaxLanes {
-		return 0, fmt.Errorf("-batch %d: lane width must be in 1..%d (or 'auto')", k, routing.MaxLanes)
-	}
-	return k, nil
-}
-
 // parseMemBudget parses the -mem-budget flag: a byte count with an
 // optional binary K/M/G suffix ("512M", "2G", "65536"). Empty means no
 // budget.
@@ -144,7 +124,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		topo     = fs.String("topo", "", "optional serial-2 relationship file instead of generating")
 		outDir   = fs.String("out", "", "also write each experiment's output to <dir>/<name>.tsv")
 		engine   = fs.String("engine", "delta", "attack-propagation engine for the sweeps: full or delta")
-		batch    = fs.String("batch", "1", "lane width K (1..64) for batched baseline and attack propagation, or 'auto' to size lanes to the topology; 1: serial")
 		shards   = fs.Int("shards", 0, "partition the pair/sweep/susceptibility candidate spaces into this many victim-keyed shards, each with a private baseline cache; 0: unsharded")
 		memBud   = fs.String("mem-budget", "", "per-shard baseline-cache byte budget with optional K/M/G suffix (e.g. 512M); implies one shard if -shards is 0; empty: unbounded")
 		counters = fs.Bool("counters", false, "report per-experiment sweep telemetry (propagations, cache hits, skipped draws, memory gauges)")
@@ -209,10 +188,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	laneWidth, err := resolveBatch(*batch, internet.Graph().NumASes())
-	if err != nil {
-		return err
-	}
 
 	var names []string
 	if *exps == "all" {
@@ -243,7 +218,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		var tee bytes.Buffer
 		bc := &benchContext{
 			ctx: ctx, internet: internet, seed: *seed, pairs: *pairs,
-			engine: engineKind, batch: laneWidth,
+			engine: engineKind,
 			shards: *shards, memBudget: budgetBytes,
 			out: io.MultiWriter(out, &tee),
 		}
@@ -361,7 +336,6 @@ func runSusceptibility(bc *benchContext) error {
 	cfg.Seed = bc.seed
 	cfg.Engine = bc.engine
 	cfg.Counters = bc.counters
-	cfg.Batch = bc.batch
 	cfg.Shards = bc.shards
 	cfg.MemBudget = bc.memBudget
 	cells, err := experiment.SusceptibilityMatrixCtx(bc.ctx, bc.internet.Graph(), cfg)
@@ -422,7 +396,7 @@ func runTable1(bc *benchContext) error {
 }
 
 func (bc *benchContext) survey() (*aspp.SurveyResult, error) {
-	return bc.internet.UsageSurvey(aspp.PolicyConfig{}, aspp.SurveyConfig{Seed: bc.seed, Counters: bc.counters, Batch: bc.batch})
+	return bc.internet.UsageSurvey(aspp.PolicyConfig{}, aspp.SurveyConfig{Seed: bc.seed, Counters: bc.counters})
 }
 
 func runFig5(bc *benchContext) error {
@@ -497,7 +471,7 @@ func tailAbove(h *stats.Histogram, k int) float64 {
 func runPairFig(bc *benchContext, kind experiment.PairKind, n int, violate bool, label string) error {
 	pairsResult, err := bc.internet.SamplePairsCtx(bc.ctx, aspp.PairConfig{
 		Kind: kind, N: n, Prepend: 3, Violate: violate, Seed: bc.seed,
-		Engine: bc.engine, Counters: bc.counters, Batch: bc.batch,
+		Engine: bc.engine, Counters: bc.counters,
 		Shards: bc.shards, MemBudget: bc.memBudget,
 	})
 	if err != nil {
@@ -530,7 +504,7 @@ func runFig8(bc *benchContext) error {
 func (bc *benchContext) sweep(victim, attacker aspp.ASN, violate bool) ([]aspp.SweepPoint, error) {
 	return bc.internet.SweepPrependCfgCtx(bc.ctx, aspp.SweepConfig{
 		Victim: victim, Attacker: attacker, MaxLambda: 8, Violate: violate,
-		Engine: bc.engine, Counters: bc.counters, Batch: bc.batch,
+		Engine: bc.engine, Counters: bc.counters,
 		Shards: bc.shards, MemBudget: bc.memBudget,
 	})
 }

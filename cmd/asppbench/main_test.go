@@ -126,19 +126,14 @@ func TestRunOutDir(t *testing.T) {
 	}
 }
 
+// TestRunBatchFlagValidation: the lane-width knob is gone — the survey
+// batches automatically and the attack legs always run serially — so
+// -batch must fail as an unknown flag rather than be silently ignored.
 func TestRunBatchFlagValidation(t *testing.T) {
-	for _, bad := range []string{"0", "-3", "65", "1000", "fast", ""} {
-		var sb strings.Builder
-		err := run(context.Background(), []string{"-exp", "fig9", "-n", "400", "-batch", bad}, &sb)
-		if err == nil || !strings.Contains(err.Error(), "-batch") {
-			t.Errorf("-batch %q: want a lane-width error, got %v", bad, err)
-		}
-	}
-	if k, err := resolveBatch("auto", 400); err != nil || k < 1 || k > 64 {
-		t.Errorf("resolveBatch(auto, 400) = %d, %v", k, err)
-	}
-	if k, err := resolveBatch("8", 400); err != nil || k != 8 {
-		t.Errorf("resolveBatch(8) = %d, %v", k, err)
+	var sb strings.Builder
+	err := run(context.Background(), []string{"-exp", "fig9", "-n", "400", "-batch", "8"}, &sb)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -batch") {
+		t.Errorf("-batch 8: want an unknown-flag error, got %v", err)
 	}
 }
 
@@ -172,7 +167,7 @@ func TestRunShardByteIdentical(t *testing.T) {
 	const exps = "fig7,fig9,susceptibility"
 	runWith := func(extra ...string) string {
 		var sb strings.Builder
-		args := append([]string{"-exp", exps, "-n", "400", "-batch", "8"}, extra...)
+		args := append([]string{"-exp", exps, "-n", "400"}, extra...)
 		if err := run(context.Background(), args, &sb); err != nil {
 			t.Fatalf("%v: %v", extra, err)
 		}
@@ -186,25 +181,5 @@ func TestRunShardByteIdentical(t *testing.T) {
 	}
 	if got := runWith("-mem-budget", "512M"); got != unsharded {
 		t.Errorf("-mem-budget alone differs from unsharded:\n got: %s\nwant: %s", got, unsharded)
-	}
-}
-
-// TestRunBatchByteIdentical pins the acceptance contract at the CLI
-// boundary: the sweep TSVs must be byte-identical whether the attack
-// legs run serially or K lanes at a time.
-func TestRunBatchByteIdentical(t *testing.T) {
-	const exps = "fig7,fig9,susceptibility"
-	runWith := func(batch string) string {
-		var sb strings.Builder
-		if err := run(context.Background(), []string{"-exp", exps, "-n", "400", "-batch", batch}, &sb); err != nil {
-			t.Fatalf("-batch %s: %v", batch, err)
-		}
-		return sb.String()
-	}
-	serial := runWith("1")
-	for _, batch := range []string{"8", "64", "auto"} {
-		if got := runWith(batch); got != serial {
-			t.Errorf("-batch %s output differs from serial:\n got: %s\nwant: %s", batch, got, serial)
-		}
 	}
 }

@@ -223,3 +223,62 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 		}
 	}
 }
+
+// TestWithdrawUnseenPrefixStoresNothing: a withdrawal of a prefix the
+// detector has never seen must not allocate a span row. 10k such
+// withdrawals leave the row count and MemoryBytes unchanged, the lookup
+// memo never caches an absent row, and interleaving them into a churn
+// replay leaves its alarm multiset and final table unchanged.
+func TestWithdrawUnseenPrefixStoresNothing(t *testing.T) {
+	updates, monitors, g := churnCorpus(t, 400, 31, 20, 40, 200)
+	unseen := make([]bgp.Update, 10000)
+	for i := range unseen {
+		// 240.0.0.0/4 is reserved; the churn corpus never announces it.
+		addr := netip.AddrFrom4([4]byte{240, byte(i >> 16), byte(i >> 8), byte(i)})
+		unseen[i] = bgp.Update{
+			Monitor: monitors[i%len(monitors)],
+			Type:    bgp.Withdraw,
+			Prefix:  netip.PrefixFrom(addr, 32),
+		}
+	}
+
+	clean := NewDetector(monitors, g)
+	var want []Alarm
+	for _, u := range updates {
+		want = append(want, clean.Observe(u)...)
+	}
+	if len(want) == 0 {
+		t.Fatal("churn replay raised no alarms — corpus does not exercise detection")
+	}
+	rows, mem := len(clean.routes), clean.MemoryBytes()
+
+	if got := clean.ObserveBatch(unseen, nil); len(got) != 0 {
+		t.Fatalf("unseen withdrawals raised %d alarms", len(got))
+	}
+	for _, u := range unseen[:100] {
+		clean.Observe(u)
+	}
+	if got := len(clean.routes); got != rows {
+		t.Errorf("unseen withdrawals changed the row count: %d -> %d", rows, got)
+	}
+	if got := clean.MemoryBytes(); got != mem {
+		t.Errorf("unseen withdrawals changed MemoryBytes: %d -> %d", mem, got)
+	}
+	if _, ok := clean.routes[clean.lastPfx]; clean.lastSpans != nil && !ok {
+		t.Errorf("lookup memo caches absent prefix %v", clean.lastPfx)
+	}
+
+	mixed := NewDetector(monitors, g)
+	var got []Alarm
+	for i, u := range updates {
+		got = mixed.ObserveBatch([]bgp.Update{unseen[i%len(unseen)], u}, got)
+	}
+	sortAlarms(got)
+	sortAlarms(want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("interleaved unseen withdrawals changed the alarms: %d vs %d", len(got), len(want))
+	}
+	if len(mixed.routes) != rows {
+		t.Errorf("interleaved replay holds %d rows, clean replay %d", len(mixed.routes), rows)
+	}
+}

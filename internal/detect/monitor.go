@@ -46,7 +46,8 @@ type Detector struct {
 	// changed monitor's update for one prefix back to back), so the batch
 	// path resolves most updates without hashing the prefix again. The
 	// cached slice header stays valid forever: a prefix's span row is
-	// allocated once and never reassigned.
+	// allocated once and never reassigned. Only stored rows are cached —
+	// a withdrawal of an unseen prefix returns before touching the memo.
 	lastPfx   netip.Prefix
 	lastSpans []routing.PathSpan
 }
@@ -131,6 +132,12 @@ func (d *Detector) observeOne(u *bgp.Update, dst []Alarm) []Alarm {
 	} else {
 		spans = d.routes[u.Prefix]
 		if spans == nil {
+			if u.Type == bgp.Withdraw {
+				// Withdrawing a prefix no monitor announced changes no
+				// state; storing (or memoizing) a row for it would let a
+				// stream of unseen withdrawals grow memory without bound.
+				return dst
+			}
 			spans = make([]routing.PathSpan, len(d.monASN))
 			for i := range spans {
 				spans[i].Seg = -1

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"fmt"
 	"sync"
 
 	"aspp/internal/bgp"
@@ -41,13 +40,13 @@ type BaselineCache struct {
 	// unbounded — the legacy shared cache. In budgeted mode the cache
 	// tracks the bytes of successfully installed Results (order records
 	// insertion order) and evicts FIFO down to budget whenever an insert
-	// exceeds it, always retaining at least the keep newest entries (the
-	// warm group's lane width — evicting those would thrash the group
-	// mid-use). Eviction deletes the map entry only: outstanding *Result
-	// pointers held by callers stay valid (a Result is immutable), the
-	// victim is merely recomputed — and re-counted as a miss — if
-	// requested again. peak is the high-watermark the cache_bytes gauge
-	// reports; it survives Release.
+	// exceeds it, always retaining at least the keep newest entries (so
+	// the entry just installed survives its own insert). Eviction
+	// deletes the map entry only: outstanding *Result pointers held by
+	// callers stay valid (a Result is immutable), the victim is merely
+	// recomputed — and re-counted as a miss — if requested again. peak
+	// is the high-watermark the cache_bytes gauge reports; it survives
+	// Release.
 	//
 	// A budgeted cache is meant for single-goroutine (shard-local) use:
 	// the accounting assumes the goroutine that creates an entry is the
@@ -64,20 +63,9 @@ type BaselineCache struct {
 // failure; production code never reassigns it.
 var baselineOnly = core.BaselineOnly
 
-// batchBaseline computes a WarmBatch lane group; a package variable for
-// the same fault-injection reason as baselineOnly.
-var batchBaseline = routing.PropagateBatch
-
 type baselineKey struct {
 	origin bgp.ASN
 	lambda int
-}
-
-// BaselineKey names one cacheable baseline — a uniform (origin, λ)
-// announcement — for batched warming via WarmBatch.
-type BaselineKey struct {
-	Origin bgp.ASN
-	Lambda int
 }
 
 type baselineEntry struct {
@@ -200,83 +188,6 @@ func (c *BaselineCache) Get(origin bgp.ASN, lambda int) (*routing.Result, error)
 		}
 	})
 	return e.res, e.err
-}
-
-// WarmBatch precomputes the baselines for the given keys as lanes of one
-// batched propagation (routing.PropagateBatch), installing each result
-// into the cache so subsequent Gets hit. Keys already present — cached or
-// mid-computation — are skipped; duplicates within keys collapse to one
-// lane. Each created entry counts as one cache miss (so misses still
-// equals distinct keys) and its lane counts toward prop_batch rather than
-// prop_base.
-//
-// Equivalence: a batch lane is bitwise-equal to the serial engine, so a
-// warmed entry is indistinguishable from one computed by Get. Sibling
-// topologies, which the batch engine rejects, warm through the serial Get
-// path instead. A key whose announcement fails validation gets the error
-// memoized, exactly as Get would. Errors of individual keys never abort
-// the warm; only a batch-level engine failure is returned, and in that
-// case the created entries stay lazily computable — the next Get on one
-// falls back to the serial path.
-//
-// bs may be nil (PropagateBatch then uses private scratch); like the
-// cache's Gets, WarmBatch is safe for concurrent use, but a BatchScratch
-// must not be shared across concurrent calls.
-func (c *BaselineCache) WarmBatch(keys []BaselineKey, bs *routing.BatchScratch) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	if c.g.HasSiblings() {
-		for _, k := range keys {
-			c.Get(k.Origin, k.Lambda) // errors memoized per entry
-		}
-		return nil
-	}
-	anns := make([]routing.Announcement, 0, len(keys))
-	created := make([]*baselineEntry, 0, len(keys))
-	c.mu.Lock()
-	for _, k := range keys {
-		key := baselineKey{origin: k.Origin, lambda: k.Lambda}
-		if c.m[key] != nil {
-			continue
-		}
-		e := &baselineEntry{}
-		c.m[key] = e
-		c.obs.AddBaselineMisses(1)
-		anns = append(anns, routing.Announcement{Origin: k.Origin, Prepend: k.Lambda})
-		created = append(created, e)
-	}
-	c.mu.Unlock()
-	// Validate per key so one bad origin poisons only its own entry, not
-	// the whole lane group (PropagateBatch fails the batch wholesale).
-	lanes := anns[:0]
-	live := created[:0]
-	for i, ann := range anns {
-		if err := ann.Validate(c.g); err != nil {
-			e := created[i]
-			e.once.Do(func() { e.err = err })
-			continue
-		}
-		lanes = append(lanes, ann)
-		live = append(live, created[i])
-	}
-	if len(lanes) == 0 {
-		return nil
-	}
-	br, err := batchBaseline(c.g, lanes, bs)
-	if err != nil {
-		return fmt.Errorf("experiment: warm batch: %w", err)
-	}
-	for i, lane := range br.Lanes {
-		e, key := live[i], baselineKey{origin: lanes[i].Origin, lambda: lanes[i].Prepend}
-		e.once.Do(func() {
-			e.res = lane.Clone()
-			c.account(key, e.res)
-		})
-	}
-	c.obs.AddBatchPropagations(int64(len(lanes)))
-	c.obs.AddBatchCalls(1)
-	return nil
 }
 
 // Len reports how many distinct baselines have been requested.

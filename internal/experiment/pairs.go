@@ -58,25 +58,14 @@ type PairConfig struct {
 	// engine, cache hits, skipped draws). One Counters per sweep; nil
 	// disables recording.
 	Counters *obs.Counters
-	// Batch > 1 warms each chunk's baselines through the lane-batched
-	// engine (BaselineCache.WarmBatch) in groups of Batch before the
-	// workers fan out, and runs the attack legs Batch lanes at a time on
-	// the batched delta engine (core.DeltaBatchRunner) — draws grouped
-	// by their shared (victim, λ) baseline, output byte-identical to the
-	// serial path. EngineFull keeps the attack legs serial (the
-	// ablation), as do sibling topologies. 0 or 1 keeps everything
-	// lazy/serial.
-	Batch int
 	// Shards > 0 partitions the candidate space by victim into that many
 	// shards, each owning a private byte-budgeted BaselineCache, and
 	// dispatches shards across the worker pool (DESIGN §5f). Output is
 	// byte-identical to the unsharded path at any shard count. 0 with no
 	// MemBudget keeps the legacy shared-cache path.
 	Shards int
-	// MemBudget caps each shard's baseline-cache bytes (FIFO eviction)
-	// and adaptively narrows the attack-leg lane width to fit
-	// (routing.AdaptiveLaneWidthBudget). MemBudget alone implies one
-	// budgeted shard; 0 means unbounded.
+	// MemBudget caps each shard's baseline-cache bytes (FIFO eviction).
+	// MemBudget alone implies one budgeted shard; 0 means unbounded.
 	MemBudget int64
 }
 
@@ -160,21 +149,16 @@ func SamplePairsCtx(ctx context.Context, g *topology.Graph, cfg PairConfig) ([]P
 		return nil, err
 	}
 	var (
-		ss       *shardSet
-		cache    *BaselineCache
-		warmBS   *routing.BatchScratch
-		warmKeys []BaselineKey
+		ss    *shardSet
+		cache *BaselineCache
 	)
 	if nShards > 0 {
 		// Sharded path: shard states (and their caches) persist across
 		// chunks so repeated victims stay warm; gauges are recorded and
 		// caches released when the sweep completes.
-		ss = newShardSet(g, nShards, cfg.MemBudget, cfg.Batch, cfg.Counters)
+		ss = newShardSet(g, nShards, cfg.MemBudget, cfg.Counters)
 	} else {
 		cache = NewBaselineCacheObs(g, cfg.Counters)
-		if cfg.Batch > 1 {
-			warmBS = routing.NewBatchScratch()
-		}
 	}
 	out := make([]PairImpact, 0, cfg.N)
 	for len(out) < cfg.N {
@@ -182,84 +166,13 @@ func SamplePairsCtx(ctx context.Context, g *topology.Graph, cfg PairConfig) ([]P
 		if len(chunk) == 0 {
 			break // retry budget or pair space exhausted
 		}
+		var (
+			results []*PairImpact
+			cerr    error
+		)
 		if ss != nil {
-			results, serr := ss.runPairChunk(ctx, cfg, chunk)
-			if serr != nil {
-				return nil, sweepError("pair sweep", serr)
-			}
-			for _, r := range results {
-				if r == nil {
-					continue
-				}
-				out = append(out, *r)
-				if len(out) == cfg.N {
-					break
-				}
-			}
-			continue
-		}
-		if cfg.Batch > 1 {
-			// Warm the chunk's baselines in lane groups. WarmBatch skips
-			// keys already cached, so repeated victims across chunks cost
-			// nothing and duplicates within a group collapse.
-			warmKeys = warmKeys[:0]
-			for _, p := range chunk {
-				warmKeys = append(warmKeys, BaselineKey{Origin: p.v, Lambda: cfg.Prepend})
-			}
-			for start := 0; start < len(warmKeys); start += cfg.Batch {
-				end := min(start+cfg.Batch, len(warmKeys))
-				if err := cache.WarmBatch(warmKeys[start:end], warmBS); err != nil {
-					return nil, err
-				}
-			}
-		}
-		var results []*PairImpact
-		if useBatchLegs(g, cfg.Batch, cfg.Engine) {
-			// Batched attack legs: resolve the chunk's (warmed) baselines
-			// and pre-filter unreachable attackers here — the same draws
-			// the serial path skips, counted identically — then run the
-			// usable draws as lane groups sharing their victims' baselines.
-			results = make([]*PairImpact, len(chunk))
-			scs := make([]core.Scenario, 0, len(chunk))
-			bases := make([]*routing.Result, 0, len(chunk))
-			idxs := make([]int, 0, len(chunk))
-			for ci, p := range chunk {
-				base, err := cache.Get(p.v, cfg.Prepend)
-				if err != nil {
-					// Fatal: the failure is per-victim and memoized — it
-					// would repeat for every pair sharing this victim.
-					return nil, baselineError(p.v, cfg.Prepend, err)
-				}
-				if !base.Reachable(p.m) {
-					cfg.Counters.AddSkippedUnreachable(1)
-					continue // skippable draw; redrawn from the stream
-				}
-				scs = append(scs, core.Scenario{
-					Victim:            p.v,
-					Attacker:          p.m,
-					Prepend:           cfg.Prepend,
-					ViolateValleyFree: cfg.Violate,
-				})
-				bases = append(bases, base)
-				idxs = append(idxs, ci)
-			}
-			counts, err := runBatchedAttackLegs(ctx, g, scs, bases, cfg.Batch, cfg.Workers, cfg.Counters)
-			if err != nil {
-				return nil, sweepError("pair sweep", err)
-			}
-			for j, ci := range idxs {
-				p := chunk[ci]
-				results[ci] = &PairImpact{
-					Victim:     p.v,
-					Attacker:   p.m,
-					VictimTier: g.Tier(p.v),
-					AttackTier: g.Tier(p.m),
-					Before:     counts[j].Before(),
-					After:      counts[j].After(),
-				}
-			}
+			results, cerr = ss.runPairChunk(ctx, cfg, chunk)
 		} else {
-			var cerr error
 			results, cerr = parallel.MapScratchErr(ctx, len(chunk), cfg.Workers, routing.NewScratch,
 				func(s *routing.Scratch, i int) (*PairImpact, error) {
 					p := chunk[i]
@@ -291,9 +204,9 @@ func SamplePairsCtx(ctx context.Context, g *topology.Graph, cfg PairConfig) ([]P
 						After:      c.After(),
 					}, nil
 				})
-			if cerr != nil {
-				return nil, sweepError("pair sweep", cerr)
-			}
+		}
+		if cerr != nil {
+			return nil, sweepError("pair sweep", cerr)
 		}
 		for _, r := range results {
 			if r == nil {
@@ -365,19 +278,10 @@ type SweepConfig struct {
 	Engine           core.EngineKind
 	// Counters optionally collects sweep telemetry; nil disables recording.
 	Counters *obs.Counters
-	// Batch > 1 precomputes the victim's λ = 1..MaxLambda baselines as
-	// lanes of batched propagations (groups of Batch) before the λ steps
-	// fan out, and runs the λ steps' attack legs Batch lanes at a time
-	// on the batched delta engine — each lane reading its own λ's
-	// baseline, output identical to the serial path. EngineFull and
-	// sibling topologies keep the attack legs serial. 0 or 1 keeps
-	// everything lazy/serial.
-	Batch int
 	// Shards > 0 splits λ = 1..MaxLambda into contiguous blocks, one
 	// budgeted shard cache per block (DESIGN §5f); output byte-identical
-	// at any shard count. MemBudget caps each shard's cache bytes and
-	// narrows the lane width to fit; MemBudget alone implies one budgeted
-	// shard.
+	// at any shard count. MemBudget caps each shard's cache bytes;
+	// MemBudget alone implies one budgeted shard.
 	Shards    int
 	MemBudget int64
 }
@@ -399,52 +303,6 @@ func SweepPrependCfgCtx(ctx context.Context, g *topology.Graph, cfg SweepConfig)
 		return runShardedSweep(ctx, g, cfg, nShards)
 	}
 	cache := NewBaselineCacheObs(g, cfg.Counters)
-	if cfg.Batch > 1 {
-		keys := make([]BaselineKey, cfg.MaxLambda)
-		for i := range keys {
-			keys[i] = BaselineKey{Origin: cfg.Victim, Lambda: i + 1}
-		}
-		bs := routing.NewBatchScratch()
-		for start := 0; start < len(keys); start += cfg.Batch {
-			end := min(start+cfg.Batch, len(keys))
-			if err := cache.WarmBatch(keys[start:end], bs); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if useBatchLegs(g, cfg.Batch, cfg.Engine) {
-		// Resolve baselines and check attacker reachability in ascending
-		// λ order, preserving the all-fatal lowest-λ-first error contract
-		// before the lanes fan out.
-		scs := make([]core.Scenario, cfg.MaxLambda)
-		bases := make([]*routing.Result, cfg.MaxLambda)
-		for i := 0; i < cfg.MaxLambda; i++ {
-			base, err := cache.Get(cfg.Victim, i+1)
-			if err != nil {
-				return nil, baselineError(cfg.Victim, i+1, err)
-			}
-			if !base.Reachable(cfg.Attacker) {
-				return nil, sweepError(fmt.Sprintf("sweep %v/%v", cfg.Victim, cfg.Attacker),
-					fmt.Errorf("λ=%d: %w", i+1, core.ErrAttackerSeesNoRoute))
-			}
-			scs[i] = core.Scenario{
-				Victim:            cfg.Victim,
-				Attacker:          cfg.Attacker,
-				Prepend:           i + 1,
-				ViolateValleyFree: cfg.Violate,
-			}
-			bases[i] = base
-		}
-		counts, err := runBatchedAttackLegs(ctx, g, scs, bases, cfg.Batch, cfg.Workers, cfg.Counters)
-		if err != nil {
-			return nil, sweepError(fmt.Sprintf("sweep %v/%v", cfg.Victim, cfg.Attacker), err)
-		}
-		points := make([]SweepPoint, cfg.MaxLambda)
-		for i, c := range counts {
-			points[i] = SweepPoint{Lambda: i + 1, Before: c.Before(), After: c.After()}
-		}
-		return points, nil
-	}
 	points, cerr := parallel.MapScratchErr(ctx, cfg.MaxLambda, cfg.Workers, routing.NewScratch,
 		func(s *routing.Scratch, i int) (SweepPoint, error) {
 			base, err := cache.Get(cfg.Victim, i+1)

@@ -72,21 +72,13 @@ func shardOf(v bgp.ASN, nShards int) int {
 }
 
 // shardState is one shard's private, persistent working state: a
-// byte-budgeted baseline cache and a DeltaBatchRunner whose BatchScratch
-// doubles as the warm scratch and whose Scratch runs the serial-engine
-// legs. Single-goroutine by construction — ForEachErr hands each shard
-// index to exactly one worker, and successive chunks reusing the state
-// are ordered by the fan-out's completion barrier.
+// byte-budgeted baseline cache and the Scratch its attack legs run on.
+// Single-goroutine by construction — ForEachErr hands each shard index
+// to exactly one worker, and successive chunks reusing the state are
+// ordered by the fan-out's completion barrier.
 type shardState struct {
-	cache  *BaselineCache
-	runner *core.DeltaBatchRunner
-	kEff   int // attack-leg lane width / warm group size
-
-	warm  []BaselineKey
-	scs   []core.Scenario
-	bases []*routing.Result
-	idxs  []int
-	outs  []core.Counts
+	cache *BaselineCache
+	s     *routing.Scratch
 }
 
 // shardSet is the per-sweep collection of shard states.
@@ -95,29 +87,13 @@ type shardSet struct {
 	states []*shardState
 }
 
-// newShardSet builds nShards shard states for a sweep over g. The
-// attack-leg lane width is min(batch, AdaptiveLaneWidthBudget): with a
-// byte budget the lanes narrow so the lane tables plus the warm group's
-// pinned baselines fit it (ROADMAP item 5's adaptive sizing); without
-// one the configured batch width stands. Lane width never changes sweep
-// output — only grouping — so the shard invariance differential holds at
-// any width.
-func newShardSet(g *topology.Graph, nShards int, memBudget int64, batch int, c *obs.Counters) *shardSet {
-	kEff := batch
-	if memBudget > 0 && batch > 1 {
-		if adaptive := routing.AdaptiveLaneWidthBudget(g.NumASes(), memBudget); adaptive < kEff {
-			kEff = adaptive
-		}
-	}
-	if kEff < 1 {
-		kEff = 1
-	}
+// newShardSet builds nShards shard states for a sweep over g.
+func newShardSet(g *topology.Graph, nShards int, memBudget int64, c *obs.Counters) *shardSet {
 	ss := &shardSet{g: g, states: make([]*shardState, nShards)}
 	for i := range ss.states {
 		ss.states[i] = &shardState{
-			cache:  NewBaselineCacheBudget(g, c, memBudget, kEff),
-			runner: core.NewDeltaBatchRunner(),
-			kEff:   kEff,
+			cache: NewBaselineCacheBudget(g, c, memBudget, 1),
+			s:     routing.NewScratch(),
 		}
 	}
 	c.RecordCSRBytes(g.MemoryBytes())
@@ -129,7 +105,7 @@ func newShardSet(g *topology.Graph, nShards int, memBudget int64, batch int, c *
 // reported values do not depend on scheduling.
 func (st *shardState) recordGauges(c *obs.Counters) {
 	c.RecordCacheBytes(st.cache.PeakBytes())
-	c.RecordScratchBytes(st.runner.BS.MemoryBytes() + st.runner.S.MemoryBytes())
+	c.RecordScratchBytes(st.s.MemoryBytes())
 }
 
 // finish releases every shard cache (recording gauges first) — the
@@ -140,39 +116,6 @@ func (ss *shardSet) finish(c *obs.Counters) {
 		st.recordGauges(c)
 		st.cache.Release()
 	}
-}
-
-// warmGroup batch-warms up to kEff keys on the shard's BatchScratch.
-func (st *shardState) warmGroup(keys []BaselineKey) error {
-	for start := 0; start < len(keys); start += st.kEff {
-		end := min(start+st.kEff, len(keys))
-		if err := st.cache.WarmBatch(keys[start:end], st.runner.BS); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// flushLegs runs the collected scenarios as lanes of one batched delta
-// call and hands (scenario index, counts) pairs to emit. The caller
-// collects at most kEff scenarios between flushes, so the baselines
-// pinned by a flush never exceed one lane group.
-func (st *shardState) flushLegs(g *topology.Graph, c *obs.Counters, emit func(i int, counts core.Counts)) error {
-	if len(st.scs) == 0 {
-		return nil
-	}
-	if cap(st.outs) < len(st.scs) {
-		st.outs = make([]core.Counts, len(st.scs))
-	}
-	outs := st.outs[:len(st.scs)]
-	if err := st.runner.Simulate(g, st.scs, st.bases, outs, c); err != nil {
-		return err
-	}
-	for j, idx := range st.idxs {
-		emit(idx, outs[j])
-	}
-	st.scs, st.bases, st.idxs = st.scs[:0], st.bases[:0], st.idxs[:0]
-	return nil
 }
 
 // pairDraw is one (victim, attacker) candidate of a pair sweep.
@@ -199,19 +142,34 @@ func (ss *shardSet) runPairChunk(ctx context.Context, cfg PairConfig, chunk []pa
 }
 
 // pairShard runs one shard's share of a chunk. Candidates are grouped by
-// victim (stably, so equal victims keep their draw order) — the FIFO
-// cache then evicts a victim's baseline only after all its candidates
-// ran, and lane groups share baselines maximally. Processing windows of
-// kEff candidates bounds the pinned working set: warm the window's
-// baselines, resolve and pre-filter, flush the accumulated lane group.
+// victim (stably, so equal victims keep their draw order), so the FIFO
+// cache evicts a victim's baseline only after all its candidates ran.
 func (st *shardState) pairShard(ctx context.Context, g *topology.Graph, cfg PairConfig, chunk []pairDraw, cis []int, results []*PairImpact) error {
-	if len(cis) == 0 {
-		return nil
-	}
 	sort.SliceStable(cis, func(a, b int) bool { return chunk[cis[a]].v < chunk[cis[b]].v })
-	batched := useBatchLegs(g, cfg.Batch, cfg.Engine)
-	emit := func(ci int, c core.Counts) {
+	for _, ci := range cis {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		p := chunk[ci]
+		base, err := st.cache.Get(p.v, cfg.Prepend)
+		if err != nil {
+			// Fatal: the failure is per-victim and memoized — it would
+			// repeat for every pair sharing this victim.
+			return baselineError(p.v, cfg.Prepend, err)
+		}
+		c, err := core.SimulateCountsEngineObs(g, core.Scenario{
+			Victim:            p.v,
+			Attacker:          p.m,
+			Prepend:           cfg.Prepend,
+			ViolateValleyFree: cfg.Violate,
+		}, base, st.s, cfg.Engine, cfg.Counters)
+		if routing.Skippable(err) {
+			cfg.Counters.AddSkippedUnreachable(1)
+			continue // skippable draw; redrawn from the stream
+		}
+		if err != nil {
+			return fmt.Errorf("pair %v/%v: %w", p.v, p.m, err)
+		}
 		results[ci] = &PairImpact{
 			Victim:     p.v,
 			Attacker:   p.m,
@@ -219,67 +177,6 @@ func (st *shardState) pairShard(ctx context.Context, g *topology.Graph, cfg Pair
 			AttackTier: g.Tier(p.m),
 			Before:     c.Before(),
 			After:      c.After(),
-		}
-	}
-	for lo := 0; lo < len(cis); lo += st.kEff {
-		window := cis[lo:min(lo+st.kEff, len(cis))]
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if cfg.Batch > 1 {
-			st.warm = st.warm[:0]
-			for _, ci := range window {
-				st.warm = append(st.warm, BaselineKey{Origin: chunk[ci].v, Lambda: cfg.Prepend})
-			}
-			if err := st.warmGroup(st.warm); err != nil {
-				return err
-			}
-		}
-		for _, ci := range window {
-			p := chunk[ci]
-			base, err := st.cache.Get(p.v, cfg.Prepend)
-			if err != nil {
-				// Fatal: the failure is per-victim and memoized — it would
-				// repeat for every pair sharing this victim.
-				return baselineError(p.v, cfg.Prepend, err)
-			}
-			if !batched {
-				c, err := core.SimulateCountsEngineObs(g, core.Scenario{
-					Victim:            p.v,
-					Attacker:          p.m,
-					Prepend:           cfg.Prepend,
-					ViolateValleyFree: cfg.Violate,
-				}, base, st.runner.S, cfg.Engine, cfg.Counters)
-				if routing.Skippable(err) {
-					cfg.Counters.AddSkippedUnreachable(1)
-					continue // skippable draw; redrawn from the stream
-				}
-				if err != nil {
-					return fmt.Errorf("pair %v/%v: %w", p.v, p.m, err)
-				}
-				emit(ci, c)
-				continue
-			}
-			if !base.Reachable(p.m) {
-				cfg.Counters.AddSkippedUnreachable(1)
-				continue
-			}
-			st.scs = append(st.scs, core.Scenario{
-				Victim:            p.v,
-				Attacker:          p.m,
-				Prepend:           cfg.Prepend,
-				ViolateValleyFree: cfg.Violate,
-			})
-			st.bases = append(st.bases, base)
-			st.idxs = append(st.idxs, ci)
-			if len(st.scs) == st.kEff {
-				if err := st.flushLegs(g, cfg.Counters, emit); err != nil {
-					return err
-				}
-			}
-		}
-		if err := st.flushLegs(g, cfg.Counters, emit); err != nil {
-			return err
 		}
 	}
 	return nil
@@ -294,7 +191,7 @@ func runShardedSweep(ctx context.Context, g *topology.Graph, cfg SweepConfig, nS
 	if nShards > cfg.MaxLambda {
 		nShards = cfg.MaxLambda
 	}
-	ss := newShardSet(g, nShards, cfg.MemBudget, cfg.Batch, cfg.Counters)
+	ss := newShardSet(g, nShards, cfg.MemBudget, cfg.Counters)
 	block := (cfg.MaxLambda + nShards - 1) / nShards
 	points := make([]SweepPoint, cfg.MaxLambda)
 	err := parallel.ForEachErr(ctx, nShards, cfg.Workers, func(si int) error {
@@ -315,58 +212,24 @@ func runShardedSweep(ctx context.Context, g *topology.Graph, cfg SweepConfig, nS
 // sweepShard runs λ = lo..hi of a sharded prepend sweep in ascending
 // order (all-fatal: the first failing λ aborts the shard).
 func (st *shardState) sweepShard(ctx context.Context, g *topology.Graph, cfg SweepConfig, lo, hi int, points []SweepPoint) error {
-	batched := useBatchLegs(g, cfg.Batch, cfg.Engine)
-	emit := func(i int, c core.Counts) {
-		points[i] = SweepPoint{Lambda: i + 1, Before: c.Before(), After: c.After()}
-	}
-	for wlo := lo; wlo <= hi; wlo += st.kEff {
-		whi := min(wlo+st.kEff-1, hi)
+	for l := lo; l <= hi; l++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if cfg.Batch > 1 {
-			st.warm = st.warm[:0]
-			for l := wlo; l <= whi; l++ {
-				st.warm = append(st.warm, BaselineKey{Origin: cfg.Victim, Lambda: l})
-			}
-			if err := st.warmGroup(st.warm); err != nil {
-				return err
-			}
+		base, err := st.cache.Get(cfg.Victim, l)
+		if err != nil {
+			return baselineError(cfg.Victim, l, err)
 		}
-		for l := wlo; l <= whi; l++ {
-			base, err := st.cache.Get(cfg.Victim, l)
-			if err != nil {
-				return baselineError(cfg.Victim, l, err)
-			}
-			sc := core.Scenario{
-				Victim:            cfg.Victim,
-				Attacker:          cfg.Attacker,
-				Prepend:           l,
-				ViolateValleyFree: cfg.Violate,
-			}
-			if !batched {
-				c, err := core.SimulateCountsEngineObs(g, sc, base, st.runner.S, cfg.Engine, cfg.Counters)
-				if err != nil {
-					return fmt.Errorf("λ=%d: %w", l, err)
-				}
-				emit(l-1, c)
-				continue
-			}
-			if !base.Reachable(cfg.Attacker) {
-				return fmt.Errorf("λ=%d: %w", l, core.ErrAttackerSeesNoRoute)
-			}
-			st.scs = append(st.scs, sc)
-			st.bases = append(st.bases, base)
-			st.idxs = append(st.idxs, l-1)
-			if len(st.scs) == st.kEff {
-				if err := st.flushLegs(g, cfg.Counters, emit); err != nil {
-					return err
-				}
-			}
+		c, err := core.SimulateCountsEngineObs(g, core.Scenario{
+			Victim:            cfg.Victim,
+			Attacker:          cfg.Attacker,
+			Prepend:           l,
+			ViolateValleyFree: cfg.Violate,
+		}, base, st.s, cfg.Engine, cfg.Counters)
+		if err != nil {
+			return fmt.Errorf("λ=%d: %w", l, err)
 		}
-		if err := st.flushLegs(g, cfg.Counters, emit); err != nil {
-			return err
-		}
+		points[l-1] = SweepPoint{Lambda: l, Before: c.Before(), After: c.After()}
 	}
 	return nil
 }
@@ -382,7 +245,7 @@ type susJob struct {
 // shard's cache is released as soon as the shard completes — the full
 // release-after-shard lifecycle, since every job runs exactly once.
 func runShardedSusceptibility(ctx context.Context, g *topology.Graph, cfg SusceptibilityConfig, nShards int, jobs []susJob) ([]float64, error) {
-	ss := newShardSet(g, nShards, cfg.MemBudget, cfg.Batch, cfg.Counters)
+	ss := newShardSet(g, nShards, cfg.MemBudget, cfg.Counters)
 	fractions := make([]float64, len(jobs))
 	for i := range fractions {
 		fractions[i] = -1
@@ -408,66 +271,30 @@ func runShardedSusceptibility(ctx context.Context, g *topology.Graph, cfg Suscep
 // susShard runs one shard's share of the susceptibility jobs, grouped by
 // victim exactly as pairShard groups candidates.
 func (st *shardState) susShard(ctx context.Context, g *topology.Graph, cfg SusceptibilityConfig, jobs []susJob, jis []int, fractions []float64) error {
-	if len(jis) == 0 {
-		return nil
-	}
 	sort.SliceStable(jis, func(a, b int) bool { return jobs[jis[a]].v < jobs[jis[b]].v })
-	batched := useBatchLegs(g, cfg.Batch, cfg.Engine)
-	emit := func(ji int, c core.Counts) { fractions[ji] = c.After() }
-	for lo := 0; lo < len(jis); lo += st.kEff {
-		window := jis[lo:min(lo+st.kEff, len(jis))]
+	for _, ji := range jis {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if cfg.Batch > 1 {
-			st.warm = st.warm[:0]
-			for _, ji := range window {
-				st.warm = append(st.warm, BaselineKey{Origin: jobs[ji].v, Lambda: cfg.Prepend})
-			}
-			if err := st.warmGroup(st.warm); err != nil {
-				return err
-			}
+		j := jobs[ji]
+		base, err := st.cache.Get(j.v, cfg.Prepend)
+		if err != nil {
+			return baselineError(j.v, cfg.Prepend, err)
 		}
-		for _, ji := range window {
-			j := jobs[ji]
-			base, err := st.cache.Get(j.v, cfg.Prepend)
-			if err != nil {
-				return baselineError(j.v, cfg.Prepend, err)
-			}
-			sc := core.Scenario{
-				Victim:            j.v,
-				Attacker:          j.m,
-				Prepend:           cfg.Prepend,
-				ViolateValleyFree: cfg.Violate,
-			}
-			if !batched {
-				c, err := core.SimulateCountsEngineObs(g, sc, base, st.runner.S, cfg.Engine, cfg.Counters)
-				if routing.Skippable(err) {
-					cfg.Counters.AddSkippedUnreachable(1)
-					continue // skippable draw; the cell oversamples
-				}
-				if err != nil {
-					return fmt.Errorf("pair %v/%v: %w", j.v, j.m, err)
-				}
-				emit(ji, c)
-				continue
-			}
-			if !base.Reachable(j.m) {
-				cfg.Counters.AddSkippedUnreachable(1)
-				continue
-			}
-			st.scs = append(st.scs, sc)
-			st.bases = append(st.bases, base)
-			st.idxs = append(st.idxs, ji)
-			if len(st.scs) == st.kEff {
-				if err := st.flushLegs(g, cfg.Counters, emit); err != nil {
-					return err
-				}
-			}
+		c, err := core.SimulateCountsEngineObs(g, core.Scenario{
+			Victim:            j.v,
+			Attacker:          j.m,
+			Prepend:           cfg.Prepend,
+			ViolateValleyFree: cfg.Violate,
+		}, base, st.s, cfg.Engine, cfg.Counters)
+		if routing.Skippable(err) {
+			cfg.Counters.AddSkippedUnreachable(1)
+			continue // skippable draw; the cell oversamples
 		}
-		if err := st.flushLegs(g, cfg.Counters, emit); err != nil {
-			return err
+		if err != nil {
+			return fmt.Errorf("pair %v/%v: %w", j.v, j.m, err)
 		}
+		fractions[ji] = c.After()
 	}
 	return nil
 }

@@ -25,8 +25,8 @@ func TestNormalizeShards(t *testing.T) {
 		want    int
 		wantErr bool
 	}{
-		{0, 0, 0, false},  // legacy path
-		{3, 0, 3, false},  // explicit shards, unbounded caches
+		{0, 0, 0, false},       // legacy path
+		{3, 0, 3, false},       // explicit shards, unbounded caches
 		{0, 1 << 20, 1, false}, // budget alone implies one budgeted shard
 		{5, 1 << 20, 5, false},
 		{-1, 0, 0, true},
@@ -43,30 +43,27 @@ func TestNormalizeShards(t *testing.T) {
 	}
 }
 
-// TestShardInvarianceSamplePairs is the tentpole differential: for every
-// shard count, at serial and batched lane widths, with and without a
-// tight eviction-heavy byte budget, the sharded pair sweep must be
-// DeepEqual to the unsharded one — the TSV downstream is then
-// byte-identical by construction.
+// TestShardInvarianceSamplePairs is the shard-layer differential: for
+// every shard count, with and without a tight eviction-heavy byte
+// budget, the sharded pair sweep must be DeepEqual to the unsharded one
+// — the TSV downstream is then byte-identical by construction.
 func TestShardInvarianceSamplePairs(t *testing.T) {
 	g := expGraph(t, 400, 31)
-	for _, batch := range []int{1, 8} {
-		base := PairConfig{Kind: PairsRandom, N: 25, Prepend: 3, Seed: 7, Workers: 3, Batch: batch}
-		want, err := SamplePairs(g, base)
-		if err != nil {
-			t.Fatalf("unsharded batch=%d: %v", batch, err)
-		}
-		for _, shards := range shardCounts {
-			for _, budget := range []int64{0, 8 << 10} { // unbounded and eviction-heavy
-				cfg := base
-				cfg.Shards, cfg.MemBudget = shards, budget
-				got, err := SamplePairs(g, cfg)
-				if err != nil {
-					t.Fatalf("shards=%d budget=%d batch=%d: %v", shards, budget, batch, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("shards=%d budget=%d batch=%d diverges from unsharded", shards, budget, batch)
-				}
+	base := PairConfig{Kind: PairsRandom, N: 25, Prepend: 3, Seed: 7, Workers: 3}
+	want, err := SamplePairs(g, base)
+	if err != nil {
+		t.Fatalf("unsharded: %v", err)
+	}
+	for _, shards := range shardCounts {
+		for _, budget := range []int64{0, 8 << 10} { // unbounded and eviction-heavy
+			cfg := base
+			cfg.Shards, cfg.MemBudget = shards, budget
+			got, err := SamplePairs(g, cfg)
+			if err != nil {
+				t.Fatalf("shards=%d budget=%d: %v", shards, budget, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("shards=%d budget=%d diverges from unsharded", shards, budget)
 			}
 		}
 	}
@@ -80,22 +77,20 @@ func TestShardInvarianceSweepPrepend(t *testing.T) {
 	if len(t1) < 2 {
 		t.Skip("need two tier-1 ASes")
 	}
-	for _, batch := range []int{1, 8} {
-		base := SweepConfig{Victim: t1[0], Attacker: t1[1], MaxLambda: 12, Workers: 3, Batch: batch}
-		want, err := SweepPrependCfgCtx(context.Background(), g, base)
+	base := SweepConfig{Victim: t1[0], Attacker: t1[1], MaxLambda: 12, Workers: 3}
+	want, err := SweepPrependCfgCtx(context.Background(), g, base)
+	if err != nil {
+		t.Fatalf("unsharded: %v", err)
+	}
+	for _, shards := range shardCounts {
+		cfg := base
+		cfg.Shards, cfg.MemBudget = shards, 8<<10
+		got, err := SweepPrependCfgCtx(context.Background(), g, cfg)
 		if err != nil {
-			t.Fatalf("unsharded batch=%d: %v", batch, err)
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		for _, shards := range shardCounts {
-			cfg := base
-			cfg.Shards, cfg.MemBudget = shards, 8<<10
-			got, err := SweepPrependCfgCtx(context.Background(), g, cfg)
-			if err != nil {
-				t.Fatalf("shards=%d batch=%d: %v", shards, batch, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("shards=%d batch=%d diverges from unsharded", shards, batch)
-			}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("shards=%d diverges from unsharded", shards)
 		}
 	}
 }
@@ -104,23 +99,21 @@ func TestShardInvarianceSweepPrepend(t *testing.T) {
 // invariant across shard counts and budgets.
 func TestShardInvarianceSusceptibility(t *testing.T) {
 	g := expGraph(t, 400, 31)
-	for _, batch := range []int{1, 8} {
-		base := DefaultSusceptibilityConfig()
-		base.PairsPerCell, base.Workers, base.Batch = 6, 3, batch
-		want, err := SusceptibilityMatrix(g, base)
+	base := DefaultSusceptibilityConfig()
+	base.PairsPerCell, base.Workers = 6, 3
+	want, err := SusceptibilityMatrix(g, base)
+	if err != nil {
+		t.Fatalf("unsharded: %v", err)
+	}
+	for _, shards := range shardCounts {
+		cfg := base
+		cfg.Shards, cfg.MemBudget = shards, 8<<10
+		got, err := SusceptibilityMatrix(g, cfg)
 		if err != nil {
-			t.Fatalf("unsharded batch=%d: %v", batch, err)
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		for _, shards := range shardCounts {
-			cfg := base
-			cfg.Shards, cfg.MemBudget = shards, 8<<10
-			got, err := SusceptibilityMatrix(g, cfg)
-			if err != nil {
-				t.Fatalf("shards=%d batch=%d: %v", shards, batch, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("shards=%d batch=%d diverges from unsharded", shards, batch)
-			}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("shards=%d diverges from unsharded", shards)
 		}
 	}
 }
@@ -129,7 +122,7 @@ func TestShardInvarianceSusceptibility(t *testing.T) {
 // budgeted shard and still matches the legacy path.
 func TestShardMemBudgetImpliesSharding(t *testing.T) {
 	g := expGraph(t, 300, 32)
-	base := PairConfig{Kind: PairsRandom, N: 15, Prepend: 3, Seed: 9, Workers: 2, Batch: 4}
+	base := PairConfig{Kind: PairsRandom, N: 15, Prepend: 3, Seed: 9, Workers: 2}
 	want, err := SamplePairs(g, base)
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +217,7 @@ func TestShardGaugesWithinBudget(t *testing.T) {
 	c := new(obs.Counters)
 	_, err := SamplePairs(g, PairConfig{
 		Kind: PairsRandom, N: 25, Prepend: 3, Seed: 7, Workers: 3,
-		Batch: 8, Shards: 2, MemBudget: budget, Counters: c,
+		Shards: 2, MemBudget: budget, Counters: c,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -292,8 +285,7 @@ func TestBaselineCacheBudgetEviction(t *testing.T) {
 }
 
 // TestBaselineCacheKeepFloor: the keep newest entries survive even when
-// they alone exceed the budget — evicting the warm group mid-use would
-// thrash.
+// they alone exceed the budget.
 func TestBaselineCacheKeepFloor(t *testing.T) {
 	g := expGraph(t, 300, 32)
 	asns := g.ASNs()
@@ -315,22 +307,5 @@ func TestBaselineCacheKeepFloor(t *testing.T) {
 		if cache.Len() != before {
 			t.Fatalf("Get(asns[%d]) recomputed a kept entry", i)
 		}
-	}
-}
-
-// TestAdaptiveShardLaneWidth: a tight budget narrows the shard's lane
-// width below the configured batch, without changing results (covered by
-// the invariance tests); here just pin the sizing rule end to end.
-func TestAdaptiveShardLaneWidth(t *testing.T) {
-	g := expGraph(t, 400, 31)
-	n := g.NumASes()
-	tight := routing.BaselineResultBytes(n) * 3
-	ss := newShardSet(g, 2, tight, 64, nil)
-	if got := ss.states[0].kEff; got >= 64 || got < 1 {
-		t.Fatalf("kEff = %d, want narrowed into [1, 64)", got)
-	}
-	wide := newShardSet(g, 2, 1<<30, 8, nil)
-	if got := wide.states[0].kEff; got != 8 {
-		t.Fatalf("kEff = %d, want configured batch 8 under a loose budget", got)
 	}
 }

@@ -40,18 +40,11 @@ type SusceptibilityConfig struct {
 	Engine core.EngineKind
 	// Counters optionally collects sweep telemetry; nil disables recording.
 	Counters *obs.Counters
-	// Batch > 1 warms the distinct victims' baselines through the
-	// lane-batched engine in groups of Batch before the pair jobs fan
-	// out, and runs the attack legs Batch lanes at a time on the batched
-	// delta engine — jobs grouped by shared (victim, λ) baseline, output
-	// identical to the serial path. EngineFull and sibling topologies
-	// keep the attack legs serial. 0 or 1 keeps everything lazy/serial.
-	Batch int
 	// Shards > 0 partitions the jobs by victim into that many shards,
 	// each owning a private byte-budgeted BaselineCache released as soon
 	// as its shard completes (DESIGN §5f); output byte-identical at any
-	// shard count. MemBudget caps each shard's cache bytes and narrows
-	// the lane width to fit; MemBudget alone implies one budgeted shard.
+	// shard count. MemBudget caps each shard's cache bytes; MemBudget
+	// alone implies one budgeted shard.
 	Shards    int
 	MemBudget int64
 }
@@ -133,84 +126,30 @@ func SusceptibilityMatrixCtx(ctx context.Context, g *topology.Graph, cfg Suscept
 		return susCells(cfg, jobs, fractions)
 	}
 	cache := NewBaselineCacheObs(g, cfg.Counters)
-	if cfg.Batch > 1 {
-		// Victims repeat heavily across cells; WarmBatch skips keys
-		// already cached, so no dedup pass is needed here.
-		keys := make([]BaselineKey, len(jobs))
-		for i, j := range jobs {
-			keys[i] = BaselineKey{Origin: j.v, Lambda: cfg.Prepend}
-		}
-		bs := routing.NewBatchScratch()
-		for start := 0; start < len(keys); start += cfg.Batch {
-			end := min(start+cfg.Batch, len(keys))
-			if err := cache.WarmBatch(keys[start:end], bs); err != nil {
-				return nil, err
-			}
-		}
-	}
-	var fractions []float64
-	if useBatchLegs(g, cfg.Batch, cfg.Engine) {
-		// Batched attack legs: resolve the warmed baselines, pre-filter
-		// unreachable attackers (counted as on the serial path; the cell
-		// oversamples), and run the usable jobs as lane groups.
-		fractions = make([]float64, len(jobs))
-		scs := make([]core.Scenario, 0, len(jobs))
-		bases := make([]*routing.Result, 0, len(jobs))
-		idxs := make([]int, 0, len(jobs))
-		for i, j := range jobs {
-			fractions[i] = -1
-			base, err := cache.Get(j.v, cfg.Prepend)
+	fractions, cerr := parallel.MapScratchErr(ctx, len(jobs), cfg.Workers, routing.NewScratch,
+		func(s *routing.Scratch, i int) (float64, error) {
+			base, err := cache.Get(jobs[i].v, cfg.Prepend)
 			if err != nil {
-				return nil, baselineError(j.v, cfg.Prepend, err)
+				return -1, baselineError(jobs[i].v, cfg.Prepend, err)
 			}
-			if !base.Reachable(j.m) {
-				cfg.Counters.AddSkippedUnreachable(1)
-				continue
-			}
-			scs = append(scs, core.Scenario{
-				Victim:            j.v,
-				Attacker:          j.m,
+			c, err := core.SimulateCountsEngineObs(g, core.Scenario{
+				Victim:            jobs[i].v,
+				Attacker:          jobs[i].m,
 				Prepend:           cfg.Prepend,
 				ViolateValleyFree: cfg.Violate,
-			})
-			bases = append(bases, base)
-			idxs = append(idxs, i)
-		}
-		counts, err := runBatchedAttackLegs(ctx, g, scs, bases, cfg.Batch, cfg.Workers, cfg.Counters)
-		if err != nil {
-			return nil, sweepError("susceptibility sweep", err)
-		}
-		for k, i := range idxs {
-			fractions[i] = counts[k].After()
-		}
-	} else {
-		var cerr error
-		fractions, cerr = parallel.MapScratchErr(ctx, len(jobs), cfg.Workers, routing.NewScratch,
-			func(s *routing.Scratch, i int) (float64, error) {
-				base, err := cache.Get(jobs[i].v, cfg.Prepend)
-				if err != nil {
-					return -1, baselineError(jobs[i].v, cfg.Prepend, err)
-				}
-				c, err := core.SimulateCountsEngineObs(g, core.Scenario{
-					Victim:            jobs[i].v,
-					Attacker:          jobs[i].m,
-					Prepend:           cfg.Prepend,
-					ViolateValleyFree: cfg.Violate,
-				}, base, s, cfg.Engine, cfg.Counters)
-				if routing.Skippable(err) {
-					cfg.Counters.AddSkippedUnreachable(1)
-					return -1, nil // skippable draw; the cell oversamples
-				}
-				if err != nil {
-					return -1, fmt.Errorf("pair %v/%v: %w", jobs[i].v, jobs[i].m, err)
-				}
-				return c.After(), nil
-			})
-		if cerr != nil {
-			return nil, sweepError("susceptibility sweep", cerr)
-		}
+			}, base, s, cfg.Engine, cfg.Counters)
+			if routing.Skippable(err) {
+				cfg.Counters.AddSkippedUnreachable(1)
+				return -1, nil // skippable draw; the cell oversamples
+			}
+			if err != nil {
+				return -1, fmt.Errorf("pair %v/%v: %w", jobs[i].v, jobs[i].m, err)
+			}
+			return c.After(), nil
+		})
+	if cerr != nil {
+		return nil, sweepError("susceptibility sweep", cerr)
 	}
-
 	return susCells(cfg, jobs, fractions)
 }
 

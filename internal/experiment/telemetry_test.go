@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"aspp/internal/bgp"
+	"aspp/internal/collector"
 	"aspp/internal/core"
+	"aspp/internal/measure"
 	"aspp/internal/obs"
 	"aspp/internal/routing"
 	"aspp/internal/topology"
@@ -122,14 +124,13 @@ func TestSweepPrependBaselineFailureFatal(t *testing.T) {
 	}
 }
 
-// TestSamplePairsSkippableRedrawn: an unreachable-attacker draw is skipped
-// and redrawn from the stream rather than failing the sweep, and the sweep
-// still fills its full quota. Generated topologies are too well-connected
-// to hit the skip path, so this builds a graph with AS 900 hanging off
-// stub 100 by a peer link only: valley-free export rules mean 900 never
-// learns any route except 100's own, so every draw with 900 as the
-// attacker (and victim != 100) is skippable.
-func TestSamplePairsSkippableRedrawn(t *testing.T) {
+// skipGraph builds a topology whose random pair draws hit the skip path,
+// which generated topologies are too well-connected to reach: AS 900
+// hangs off stub 100 by a peer link only, so valley-free export rules
+// mean 900 never learns any route except 100's own, and every draw with
+// 900 as the attacker (and victim != 100) is skippable.
+func skipGraph(t *testing.T) *topology.Graph {
+	t.Helper()
 	b := topology.NewBuilder()
 	for _, e := range [][2]bgp.ASN{
 		{10, 30}, {10, 40}, {20, 50}, {20, 60},
@@ -149,6 +150,14 @@ func TestSamplePairsSkippableRedrawn(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
+	return g
+}
+
+// TestSamplePairsSkippableRedrawn: an unreachable-attacker draw is skipped
+// and redrawn from the stream rather than failing the sweep, and the sweep
+// still fills its full quota.
+func TestSamplePairsSkippableRedrawn(t *testing.T) {
+	g := skipGraph(t)
 	c := new(obs.Counters)
 	const n = 12
 	pairs, err := SamplePairs(g, PairConfig{Kind: PairsRandom, N: n, Prepend: 2, Seed: 3, Workers: 4, Counters: c})
@@ -164,5 +173,94 @@ func TestSamplePairsSkippableRedrawn(t *testing.T) {
 	}
 	if s.AttackPropagations() < n {
 		t.Fatalf("AttackPropagations=%d, want >= %d despite skips", s.AttackPropagations(), n)
+	}
+}
+
+// TestSweepPropagationConservation is the counter-attribution audit for
+// the one attack-leg engine. Every consumed draw makes exactly one
+// baseline-cache Get and then either one attack propagation or one
+// unreachable skip, so over a whole sweep:
+//
+//   - prop_base == cache_miss (every miss computes one baseline, even
+//     when a budgeted shard evicted and recomputes it);
+//   - prop_delta + prop_full + skip_unreachable == cache_hit + cache_miss,
+//     the draws consumed, which the chunked draw stream keeps a multiple
+//     of N;
+//   - prop_batch == 0: attack legs and sweep baselines never batch.
+//
+// The identities must hold, with the same totals, on the unsharded and
+// sharded paths and under both engines. The survey half pins the one
+// place lane batching survives: its table leg runs every origin as one
+// PropagateBatch lane, so prop_batch equals the number of origins.
+func TestSweepPropagationConservation(t *testing.T) {
+	g := expGraph(t, 260, 11)
+	for _, tc := range []struct {
+		name string
+		g    *topology.Graph
+		n    int
+	}{
+		{"generated", g, 60},
+		{"skips", skipGraph(t), 12},
+	} {
+		var want obs.Snapshot
+		for i, cfg := range []PairConfig{
+			{Workers: 2},
+			{Workers: 3, Shards: 3, MemBudget: 8 << 10},
+			{Workers: 2, Engine: core.EngineFull},
+		} {
+			c := new(obs.Counters)
+			cfg.Kind, cfg.N, cfg.Prepend, cfg.Seed, cfg.Counters = PairsRandom, tc.n, 3, 21, c
+			if _, err := SamplePairs(tc.g, cfg); err != nil {
+				t.Fatalf("%s config %d: %v", tc.name, i, err)
+			}
+			s := c.Snapshot()
+			if s.BasePropagations != s.BaselineMisses {
+				t.Errorf("%s config %d: prop_base=%d, cache_miss=%d; every miss computes one baseline",
+					tc.name, i, s.BasePropagations, s.BaselineMisses)
+			}
+			draws := s.BaselineHits + s.BaselineMisses
+			if legs := s.AttackPropagations() + s.SkippedUnreachable; legs != draws {
+				t.Errorf("%s config %d: attack legs %d + skips %d = %d, want the %d draws consumed",
+					tc.name, i, s.AttackPropagations(), s.SkippedUnreachable, legs, draws)
+			}
+			if draws < int64(tc.n) || draws%int64(tc.n) != 0 {
+				t.Errorf("%s config %d: %d draws consumed, want a positive multiple of N=%d", tc.name, i, draws, tc.n)
+			}
+			if s.BatchPropagations != 0 || s.BatchCalls != 0 {
+				t.Errorf("%s config %d: a pair sweep batched propagations: %v", tc.name, i, s)
+			}
+			if i == 0 {
+				want = s
+				continue
+			}
+			if s.AttackPropagations() != want.AttackPropagations() || s.SkippedUnreachable != want.SkippedUnreachable {
+				t.Errorf("%s config %d: attack legs %d, skips %d; the unsharded delta run had %d, %d",
+					tc.name, i, s.AttackPropagations(), s.SkippedUnreachable,
+					want.AttackPropagations(), want.SkippedUnreachable)
+			}
+		}
+		if tc.name == "skips" && want.SkippedUnreachable == 0 {
+			t.Error("skip graph consumed no skippable draws; the skip identity went untested")
+		}
+	}
+
+	origins, err := collector.AssignOrigins(g, collector.DefaultPolicyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := new(obs.Counters)
+	scfg := measure.DefaultSurveyConfig()
+	scfg.ChurnEvents, scfg.Workers, scfg.Counters = 20, 2, c
+	if _, err := measure.RunSurvey(g, origins, scfg); err != nil {
+		t.Fatal(err)
+	}
+	s := c.Snapshot()
+	if s.BatchPropagations != int64(len(origins)) {
+		t.Errorf("survey prop_batch=%d, want one lane per origin (%d)", s.BatchPropagations, len(origins))
+	}
+	width := routing.AdaptiveLaneWidth(g.NumASes())
+	if want := int64((len(origins) + width - 1) / width); s.BatchCalls != want {
+		t.Errorf("survey batch_calls=%d, want %d (%d origins at lane width %d)",
+			s.BatchCalls, want, len(origins), width)
 	}
 }

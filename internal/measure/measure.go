@@ -33,19 +33,13 @@ type SurveyConfig struct {
 	// Seed drives churn sampling.
 	Seed int64
 	// Memoize shares one propagation across all prefixes of an origin
-	// with identical announcements (on by default in DefaultSurveyConfig;
-	// the ablation benchmark turns it off).
+	// with identical announcements and runs the origins as lanes of
+	// batched propagations (on by default in DefaultSurveyConfig; the
+	// ablation benchmark turns it off).
 	Memoize bool
 	// Counters optionally collects survey telemetry (propagations, churn
 	// updates emitted); nil disables recording.
 	Counters *obs.Counters
-	// Batch > 1 computes the steady-state table leg as lane-batched
-	// propagations (groups of Batch origins per routing.PropagateBatch
-	// call). Requires Memoize — the non-memoized ablation repeats runs per
-	// prefix and stays serial. The churn leg is serial either way: each
-	// event's withheld-session announcement is unique. 0 or 1 keeps the
-	// table leg serial.
-	Batch int
 }
 
 // DefaultSurveyConfig returns the standard survey setup.
@@ -155,16 +149,20 @@ func RunSurvey(g *topology.Graph, origins []collector.OriginConfig, cfg SurveyCo
 	}
 
 	// Steady-state tables: one propagation per origin (all its prefixes
-	// share the announcement); weight per-prefix afterwards. Without
-	// memoization, propagate once per prefix (ablation only). Each worker
-	// owns a routing.Scratch reused across its origins, so the fan-out
-	// does not clone a fresh Result per propagation, and the per-origin
-	// prepend observations land in one flat matrix: prepMat[i*nMon+mi]
-	// is the origin-prepend run monitor mi sees for origin i (-1 when the
-	// monitor has no route or is the origin itself). The prepend run a
-	// monitor receives is also the path's maximum run here — only origins
-	// prepend in this survey — so the table distribution reads the same
-	// cell.
+	// share the announcement); weight per-prefix afterwards. The origins
+	// run as lanes of routing.PropagateBatch, AdaptiveLaneWidth origins
+	// per shared frontier walk on a worker-owned BatchScratch; lanes are
+	// bitwise-equal to the serial engine, so the batched leg changes no
+	// figure. Without memoization each worker propagates once per prefix
+	// on its own routing.Scratch (ablation only; the extra runs are its
+	// cost). Either way the per-origin prepend observations land in one
+	// flat matrix: prepMat[i*nMon+mi] is the origin-prepend run monitor
+	// mi sees for origin i (-1 when the monitor has no route or is the
+	// origin itself). The prepend run a monitor receives is also the
+	// path's maximum run here — only origins prepend in this survey — so
+	// the table distribution reads the same cell. The churn leg below is
+	// serial either way: each event's withheld-session announcement is
+	// unique.
 	nMon := len(monIdx)
 	prepMat := make([]int16, len(origins)*nMon)
 	fillRow := func(i int, rt *routing.Result) {
@@ -180,21 +178,18 @@ func RunSurvey(g *topology.Graph, origins []collector.OriginConfig, cfg SurveyCo
 		}
 	}
 	var perr error
-	if cfg.Memoize && cfg.Batch > 1 {
-		// Batched table leg: each worker owns a BatchScratch and carries
-		// Batch origins per shared frontier walk. Lanes are bitwise-equal
-		// to the serial engine, so the matrix — and every downstream
-		// figure — is identical to the serial leg's.
+	if cfg.Memoize {
 		anns := make([]routing.Announcement, len(origins))
 		for i, oc := range origins {
 			anns[i] = oc.Announcement
 		}
-		groups := (len(origins) + cfg.Batch - 1) / cfg.Batch
+		width := routing.AdaptiveLaneWidth(g.NumASes())
+		groups := (len(origins) + width - 1) / width
 		perr = parallel.ForEachScratchErr(context.Background(), groups, cfg.Workers,
 			routing.NewBatchScratch,
 			func(bs *routing.BatchScratch, gi int) error {
-				lo := gi * cfg.Batch
-				hi := min(lo+cfg.Batch, len(origins))
+				lo := gi * width
+				hi := min(lo+width, len(origins))
 				br, err := routing.PropagateBatch(g, anns[lo:hi], bs)
 				if err != nil {
 					return fmt.Errorf("measure: batch propagate origins [%d:%d): %w", lo, hi, err)
@@ -211,11 +206,7 @@ func RunSurvey(g *topology.Graph, origins []collector.OriginConfig, cfg SurveyCo
 			routing.NewScratch,
 			func(s *routing.Scratch, i int) error {
 				oc := origins[i]
-				runs := 1
-				if !cfg.Memoize {
-					runs = len(oc.Prefixes)
-				}
-				for r := 0; r < runs; r++ {
+				for r := range oc.Prefixes {
 					rt, err := routing.PropagateScratch(g, oc.Announcement, s)
 					if err != nil {
 						// Origins are validated at assignment, so this indicates a

@@ -63,9 +63,10 @@ func TestRunSurveyChurnPropagationErrorReturned(t *testing.T) {
 	}
 }
 
-// TestRunSurveyCounters checks the telemetry plumbing: base propagations
-// cover one table run per origin plus one churn run per event, and the
-// churn-update counter matches the result's own total.
+// TestRunSurveyCounters checks the telemetry plumbing: the table leg
+// runs one batch lane per origin (prop_batch), base propagations cover
+// one churn run per event, and the churn-update counter matches the
+// result's own total.
 func TestRunSurveyCounters(t *testing.T) {
 	g, origins := surveySetup(t, 300, 12)
 	cfg := DefaultSurveyConfig()
@@ -77,8 +78,11 @@ func TestRunSurveyCounters(t *testing.T) {
 	}
 	events := collector.PlanChurn(origins, cfg.ChurnEvents, cfg.Seed)
 	s := cfg.Counters.Snapshot()
-	if want := int64(len(origins) + len(events)); s.BasePropagations != want {
-		t.Fatalf("BasePropagations=%d, want %d (origins + churn events)", s.BasePropagations, want)
+	if want := int64(len(origins)); s.BatchPropagations != want {
+		t.Fatalf("BatchPropagations=%d, want %d (one table lane per origin)", s.BatchPropagations, want)
+	}
+	if want := int64(len(events)); s.BasePropagations != want {
+		t.Fatalf("BasePropagations=%d, want %d (churn events)", s.BasePropagations, want)
 	}
 	if s.ChurnUpdates != int64(res.Updates) {
 		t.Fatalf("ChurnUpdates=%d, want %d (res.Updates)", s.ChurnUpdates, res.Updates)

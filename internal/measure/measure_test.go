@@ -1,6 +1,7 @@
 package measure
 
 import (
+	"reflect"
 	"testing"
 
 	"aspp/internal/bgp"
@@ -141,27 +142,47 @@ func TestRunSurveyTier1SeesMore(t *testing.T) {
 	}
 }
 
+// TestRunSurveyMemoizationEquivalence is the batched-vs-serial survey
+// differential: the memoized survey runs its table leg as lane-batched
+// propagations at routing.AdaptiveLaneWidth, the non-memoized ablation
+// propagates serially once per prefix, and the two must agree on the
+// whole SurveyResult — every fraction series, both prepend
+// distributions and every total.
 func TestRunSurveyMemoizationEquivalence(t *testing.T) {
 	g, origins := surveySetup(t, 300, 13)
 	cfg := DefaultSurveyConfig()
 	cfg.ChurnEvents = 30
-	withMemo, err := RunSurvey(g, origins, cfg)
+	batched, err := RunSurvey(g, origins, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Memoize = false
-	without, err := RunSurvey(g, origins, cfg)
+	serial, err := RunSurvey(g, origins, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(withMemo.TableFracs) != len(without.TableFracs) {
-		t.Fatalf("series lengths differ")
-	}
-	for i := range withMemo.TableFracs {
-		a, b := withMemo.TableFracs[i], without.TableFracs[i]
-		if a.Monitor != b.Monitor || a.Frac != b.Frac {
-			t.Fatalf("memoization changed results at %d: %+v vs %+v", i, a, b)
+	for _, c := range []struct {
+		name      string
+		got, want any
+	}{
+		{"TableFracs", batched.TableFracs, serial.TableFracs},
+		{"Tier1TableFracs", batched.Tier1TableFracs, serial.Tier1TableFracs},
+		{"UpdateFracs", batched.UpdateFracs, serial.UpdateFracs},
+		{"TablePrependDist", batched.TablePrependDist, serial.TablePrependDist},
+		{"UpdatePrependDist", batched.UpdatePrependDist, serial.UpdatePrependDist},
+		{"Prefixes", batched.Prefixes, serial.Prefixes},
+		{"Origins", batched.Origins, serial.Origins},
+		{"Updates", batched.Updates, serial.Updates},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Errorf("%s: batched survey %+v, serial %+v", c.name, c.got, c.want)
 		}
+	}
+	if !reflect.DeepEqual(batched, serial) {
+		t.Error("batched and serial SurveyResults differ")
+	}
+	if len(batched.TableFracs) == 0 || batched.TablePrependDist.Total() == 0 {
+		t.Fatal("survey produced no table observations; the differential compared nothing")
 	}
 }
 

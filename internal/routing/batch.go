@@ -88,41 +88,6 @@ type BatchScratch struct {
 	results []Result
 	ptrs    []*Result
 	out     BatchResult
-
-	// Batched delta-engine state (PropagateAttackDeltaBatch; see
-	// batch_delta.go). Allocated lazily by ensureDeltaBatch so a
-	// baseline-only BatchScratch never pays for it. dlanes mirrors lanes
-	// for the delta walk's per-AS dirty/touched lane masks; bdprov holds
-	// the recomputed provider entries (cust/peer payloads share the batch
-	// tables above — both engines read entries only under their own mask
-	// bits, so the payloads never collide). provSet is the phase-3 shared
-	// frontier bitset (custSet/peerSet double as the dirty customer/peer
-	// frontiers). brej holds per-AS lane rejection masks, reset by
-	// replaying brejList; btouched lists the current call's cone rows
-	// (btouchedM the per-row lane masks finish wrote, btouchedStarts the
-	// per-chunk row offsets) and the three swap with their bprev
-	// counterparts each call so the next call can repair each result slot
-	// by replaying exactly the rows its lane wrote.
-	dlanes         []dlaneRec
-	bdprov         []cand
-	provSet        []uint64
-	brej           []uint64
-	brejList       []int32
-	btouched       []int32
-	btouchedM      []uint64
-	btouchedStarts []int32
-	bprevT         []int32
-	bprevM         []uint64
-	bprevStarts    []int32
-
-	// laneVia/laneBase/laneGen are per-result-slot delta metadata: the
-	// slot's Via storage, the baseline object it mirrors outside the last
-	// cone, and the delta-batch call generation that last wrote it (the
-	// repair fast path needs slot continuity across consecutive calls).
-	laneVia  [][]bool
-	laneBase []*Result
-	laneGen  []uint64
-	callGen  uint64
 }
 
 // NewBatchScratch returns an empty BatchScratch; it sizes itself on first
@@ -195,9 +160,6 @@ func (s *BatchScratch) beginChunk() uint32 {
 	if s.epoch == 0 {
 		for i := range s.lanes {
 			s.lanes[i].gen = 0
-		}
-		for i := range s.dlanes {
-			s.dlanes[i].gen = 0
 		}
 		s.epoch = 1
 	}
@@ -707,4 +669,29 @@ func PropagateBatch(g *topology.Graph, anns []Announcement, s *BatchScratch) (*B
 	}
 	s.out.Lanes = s.ptrs[:len(anns)]
 	return &s.out, nil
+}
+
+// batchLaneBudgetBytes is the lane-table working-set budget
+// AdaptiveLaneWidth sizes against: the per-(AS, lane) candidate, export
+// and staging rows the shared walk streams. 16 MiB keeps the hot rows
+// within a typical shared L3 slice.
+const batchLaneBudgetBytes = 16 << 20
+
+// batchBytesPerLaneAS is the per-(AS, lane) footprint of the lane
+// tables: two cand entries (cust/peer, 12 B each), the split export row
+// (ekeys 8 B + eprep 2 B) and the four staging rows (11 B), rounded up
+// to 64 for headroom.
+const batchBytesPerLaneAS = 64
+
+// AdaptiveLaneWidth returns the lane width K (1..64) whose lane tables
+// for an n-AS graph fit the batch memory budget — the width the usage
+// survey's table leg runs at. Small graphs saturate at 64 (n=4000 → 64);
+// at Internet scale the width narrows so the working set stays
+// cache-resident instead of thrashing (n=80000 → 3). Deterministic in n
+// alone, so runs at a fixed topology always pick the same width.
+func AdaptiveLaneWidth(n int) int {
+	if n <= 0 {
+		return batchMaxLanes
+	}
+	return min(max(batchLaneBudgetBytes/(n*batchBytesPerLaneAS), 1), batchMaxLanes)
 }

@@ -231,3 +231,29 @@ func TestScratchNoReallocAcrossTopologySequence(t *testing.T) {
 		t.Fatal(allocSinkErr)
 	}
 }
+
+// TestAdaptiveLaneWidth pins the survey's lane-width policy: saturate at
+// 64 lanes on small graphs, narrow monotonically as n grows, never leave
+// [1, 64].
+func TestAdaptiveLaneWidth(t *testing.T) {
+	if got := AdaptiveLaneWidth(4000); got != batchMaxLanes {
+		t.Errorf("AdaptiveLaneWidth(4000) = %d, want %d", got, batchMaxLanes)
+	}
+	if got := AdaptiveLaneWidth(0); got != batchMaxLanes {
+		t.Errorf("AdaptiveLaneWidth(0) = %d, want %d", got, batchMaxLanes)
+	}
+	prev := batchMaxLanes + 1
+	for _, n := range []int{100, 4000, 20000, 80000, 1 << 22} {
+		k := AdaptiveLaneWidth(n)
+		if k < 1 || k > batchMaxLanes {
+			t.Fatalf("AdaptiveLaneWidth(%d) = %d out of [1,%d]", n, k, batchMaxLanes)
+		}
+		if k > prev {
+			t.Fatalf("AdaptiveLaneWidth not monotone: n=%d → %d after %d", n, k, prev)
+		}
+		prev = k
+	}
+	if got := AdaptiveLaneWidth(80000); got != 3 {
+		t.Errorf("AdaptiveLaneWidth(80000) = %d, want 3", got)
+	}
+}

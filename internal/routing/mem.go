@@ -75,8 +75,8 @@ func (s *Scratch) MemoryBytes() int64 {
 }
 
 // MemoryBytes is the resident footprint of the BatchScratch: the
-// lane-major candidate/export/staging tables, frontier bitsets, delta
-// masks and per-lane result slots at capacity. out.Lanes is a reslice of
+// lane-major candidate/export/staging tables, frontier bitsets and
+// per-lane result slots at capacity. out.Lanes is a reslice of
 // ptrs and so is not counted again.
 func (s *BatchScratch) MemoryBytes() int64 {
 	if s == nil {
@@ -88,17 +88,9 @@ func (s *BatchScratch) MemoryBytes() int64 {
 		sliceBytes(s.scls) + sliceBytes(s.slen) +
 		sliceBytes(s.sprp) + sliceBytes(s.spar) +
 		sliceBytes(s.custSet) + sliceBytes(s.peerSet) +
-		sliceBytes(s.results) + sliceBytes(s.ptrs) +
-		sliceBytes(s.dlanes) + sliceBytes(s.bdprov) + sliceBytes(s.provSet) +
-		sliceBytes(s.brej) + sliceBytes(s.brejList) +
-		sliceBytes(s.btouched) + sliceBytes(s.btouchedM) + sliceBytes(s.btouchedStarts) +
-		sliceBytes(s.bprevT) + sliceBytes(s.bprevM) + sliceBytes(s.bprevStarts) +
-		sliceBytes(s.laneVia) + sliceBytes(s.laneBase) + sliceBytes(s.laneGen)
+		sliceBytes(s.results) + sliceBytes(s.ptrs)
 	for i := range s.results {
 		b += s.results[i].backingBytes()
-	}
-	for _, v := range s.laneVia {
-		b += sliceBytes(v)
 	}
 	return b
 }
@@ -117,28 +109,4 @@ func (a *PathArena) MemoryBytes() int64 {
 		b += sliceBytes(ids) + mapEntryOverheadBytes
 	}
 	return b
-}
-
-// AdaptiveLaneWidthBudget generalizes AdaptiveLaneWidth to an explicit
-// per-shard byte budget (the -mem-budget flag): it returns the widest
-// lane count K (1..MaxLanes) whose marginal working set fits — each lane
-// costs its rows in the shared lane tables (batchBytesPerLaneAS per AS)
-// plus the cached baseline a warm group pins for it
-// (BaselineResultBytes). This closes ROADMAP item 5's leftover: lane
-// width derives from the memory a shard may use rather than only the
-// fixed -batch K. Deterministic in (n, budget); a non-positive budget
-// falls back to the cache-residency policy of AdaptiveLaneWidth.
-func AdaptiveLaneWidthBudget(n int, budget int64) int {
-	if n <= 0 || budget <= 0 {
-		return AdaptiveLaneWidth(n)
-	}
-	perLane := int64(n)*batchBytesPerLaneAS + BaselineResultBytes(n)
-	k := budget / perLane
-	if k > MaxLanes {
-		return MaxLanes
-	}
-	if k < 1 {
-		return 1
-	}
-	return int(k)
 }

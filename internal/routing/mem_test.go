@@ -115,35 +115,3 @@ func TestPathArenaMemoryBytes(t *testing.T) {
 		t.Fatalf("arena footprint did not grow: %d -> %d", empty, filled)
 	}
 }
-
-// TestAdaptiveLaneWidthBudget pins the budgeted sizing policy: clamped to
-// [1, MaxLanes], monotone in the budget, and falling back to the
-// cache-residency policy when no budget is set.
-func TestAdaptiveLaneWidthBudget(t *testing.T) {
-	const n = 80000
-	if got := AdaptiveLaneWidthBudget(n, 0); got != AdaptiveLaneWidth(n) {
-		t.Fatalf("no budget: got %d, want AdaptiveLaneWidth fallback %d", got, AdaptiveLaneWidth(n))
-	}
-	if got := AdaptiveLaneWidthBudget(n, 1); got != 1 {
-		t.Fatalf("tiny budget: got %d, want 1", got)
-	}
-	if got := AdaptiveLaneWidthBudget(n, 1<<40); got != MaxLanes {
-		t.Fatalf("huge budget: got %d, want MaxLanes=%d", got, MaxLanes)
-	}
-	prev := 0
-	for _, budget := range []int64{1 << 20, 16 << 20, 64 << 20, 256 << 20, 1 << 30} {
-		k := AdaptiveLaneWidthBudget(n, budget)
-		if k < prev {
-			t.Fatalf("lane width not monotone in budget: %d then %d at %d", prev, k, budget)
-		}
-		if k < 1 || k > MaxLanes {
-			t.Fatalf("lane width %d out of [1, %d]", k, MaxLanes)
-		}
-		prev = k
-	}
-	// A budget that affords exactly K lanes plus their baselines yields K.
-	per := int64(n)*batchBytesPerLaneAS + BaselineResultBytes(n)
-	if got := AdaptiveLaneWidthBudget(n, 7*per); got != 7 {
-		t.Fatalf("budget for 7 lanes: got %d, want 7", got)
-	}
-}

@@ -44,8 +44,7 @@ func TestScale80kPairSweepWithinBudget(t *testing.T) {
 	start := time.Now()
 	pairs, err := in.SamplePairs(PairConfig{
 		Kind: PairsTier1, N: 24, Prepend: 3, Seed: 1,
-		Workers: runtime.NumCPU(), Batch: 16,
-		Shards: 4, MemBudget: budget, Counters: c,
+		Workers: runtime.NumCPU(), Shards: 4, MemBudget: budget, Counters: c,
 	})
 	if err != nil {
 		t.Fatalf("80k pair sweep: %v", err)
@@ -87,8 +86,7 @@ func BenchmarkShardedPairSweep(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := in.SamplePairs(PairConfig{
 					Kind: PairsTier1, N: 40, Prepend: 3, Seed: 1,
-					Workers: bc.workers, Batch: 16,
-					Shards: bc.shards, MemBudget: 32 << 20,
+					Workers: bc.workers, Shards: bc.shards, MemBudget: 32 << 20,
 				}); err != nil {
 					b.Fatal(err)
 				}
@@ -106,8 +104,7 @@ func BenchmarkScale80kPairSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := in.SamplePairs(PairConfig{
 			Kind: PairsTier1, N: 24, Prepend: 3, Seed: 1,
-			Workers: runtime.NumCPU(), Batch: 16,
-			Shards: 4, MemBudget: 64 << 20,
+			Workers: runtime.NumCPU(), Shards: 4, MemBudget: 64 << 20,
 		}); err != nil {
 			b.Fatal(err)
 		}
