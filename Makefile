@@ -73,12 +73,13 @@ bench:
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
-# Internet-scale smoke (DESIGN §5f): a reduced tier-1 pair sweep over the
-# canonical internet80k topology through the sharded path, under an
-# explicit per-shard cache budget. The test fails if the recorded memory
-# gauges exceed the budget, so a working-set regression gates CI.
+# Internet-scale smoke (DESIGN §5f): a reduced tier-1 and a random pair
+# sweep over the canonical internet80k topology at default config, with
+# no memory knob. The test fails unless the recorded gauges show the sweep
+# executor's bound — csr_bytes is the graph and cache_bytes at most one
+# baseline — so a working-set regression gates CI.
 scale-smoke:
-	ASPP_SCALE=1 $(GO) test -run=TestScale80kPairSweepWithinBudget -count=1 .
+	ASPP_SCALE=1 $(GO) test -run=TestScale80kPairSweepBounded -count=1 .
 
 # Machine-readable record of the tier-1 benchmark suite: run the root
 # package benchmarks with -benchmem and parse the output into

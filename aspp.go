@@ -312,19 +312,9 @@ func (in *Internet) SweepPrepend(victim, attacker ASN, maxLambda int, violate bo
 	return experiment.SweepPrepend(in.g, victim, attacker, maxLambda, violate, 0)
 }
 
-// SweepPrependCtx is SweepPrepend with cooperative cancellation.
-func (in *Internet) SweepPrependCtx(ctx context.Context, victim, attacker ASN, maxLambda int, violate bool) ([]SweepPoint, error) {
-	return experiment.SweepPrependCtx(ctx, in.g, victim, attacker, maxLambda, violate, 0)
-}
-
-// SweepPrependEngineCtx is SweepPrependCtx with an explicit engine choice
-// (full recomputation vs incremental delta propagation).
-func (in *Internet) SweepPrependEngineCtx(ctx context.Context, victim, attacker ASN, maxLambda int, violate bool, engine EngineKind) ([]SweepPoint, error) {
-	return experiment.SweepPrependEngineCtx(ctx, in.g, victim, attacker, maxLambda, violate, 0, engine)
-}
-
-// SweepPrependCfgCtx is the config-struct form of the prepend sweep,
-// exposing the engine choice and optional telemetry counters.
+// SweepPrependCfgCtx is the config-struct form of the prepend sweep, with
+// cooperative cancellation, the engine choice and optional telemetry
+// counters.
 func (in *Internet) SweepPrependCfgCtx(ctx context.Context, cfg SweepConfig) ([]SweepPoint, error) {
 	return experiment.SweepPrependCfgCtx(ctx, in.g, cfg)
 }

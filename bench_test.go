@@ -417,8 +417,8 @@ func BenchmarkDeltaVsFull(b *testing.B) {
 		{AS: randomStub},
 	}
 
-	// Per-λ baselines, cloned out of the scratch exactly as the sweep
-	// drivers' BaselineCache holds them.
+	// Per-λ baselines, cloned out of the scratch into standalone Results
+	// as the sweep executor holds them.
 	const maxLambda = 8
 	anns := make([]routing.Announcement, maxLambda)
 	baselines := make([]*routing.Result, maxLambda)

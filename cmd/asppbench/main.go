@@ -23,7 +23,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strconv"
 	"strings"
 	"syscall"
 
@@ -55,13 +54,7 @@ type benchContext struct {
 	seed     int64
 	pairs    int
 	engine   aspp.EngineKind
-	// shards/memBudget select the sharded sweep layer (DESIGN §5f): the
-	// pair/sweep/susceptibility drivers partition their candidate spaces
-	// into victim-keyed shards, each with a private baseline cache capped
-	// at memBudget bytes. Output is byte-identical to the unsharded path.
-	shards    int
-	memBudget int64
-	out       io.Writer
+	out      io.Writer
 	// counters is non-nil when -counters is set: one fresh Counters per
 	// experiment, reported after the experiment's data (outside the TSV
 	// tee, so counter lines never land in -out files or goldens).
@@ -91,29 +84,6 @@ var registry = map[string]experimentFunc{
 	"susceptibility": runSusceptibility, // §VI-B tier matrix
 }
 
-// parseMemBudget parses the -mem-budget flag: a byte count with an
-// optional binary K/M/G suffix ("512M", "2G", "65536"). Empty means no
-// budget.
-func parseMemBudget(v string) (int64, error) {
-	if v == "" {
-		return 0, nil
-	}
-	digits, mult := v, int64(1)
-	switch v[len(v)-1] {
-	case 'k', 'K':
-		digits, mult = v[:len(v)-1], 1<<10
-	case 'm', 'M':
-		digits, mult = v[:len(v)-1], 1<<20
-	case 'g', 'G':
-		digits, mult = v[:len(v)-1], 1<<30
-	}
-	n, err := strconv.ParseInt(digits, 10, 64)
-	if err != nil || n <= 0 {
-		return 0, fmt.Errorf("-mem-budget: want a positive byte count with optional K/M/G suffix, got %q", v)
-	}
-	return n * mult, nil
-}
-
 func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("asppbench", flag.ContinueOnError)
 	var (
@@ -124,8 +94,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		topo     = fs.String("topo", "", "optional serial-2 relationship file instead of generating")
 		outDir   = fs.String("out", "", "also write each experiment's output to <dir>/<name>.tsv")
 		engine   = fs.String("engine", "delta", "attack-propagation engine for the sweeps: full or delta")
-		shards   = fs.Int("shards", 0, "partition the pair/sweep/susceptibility candidate spaces into this many victim-keyed shards, each with a private baseline cache; 0: unsharded")
-		memBud   = fs.String("mem-budget", "", "per-shard baseline-cache byte budget with optional K/M/G suffix (e.g. 512M); implies one shard if -shards is 0; empty: unbounded")
 		counters = fs.Bool("counters", false, "report per-experiment sweep telemetry (propagations, cache hits, skipped draws, memory gauges)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProf  = fs.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
@@ -135,13 +103,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	engineKind, err := aspp.ParseEngineKind(*engine)
-	if err != nil {
-		return err
-	}
-	if *shards < 0 {
-		return fmt.Errorf("-shards %d: shard count must be >= 0", *shards)
-	}
-	budgetBytes, err := parseMemBudget(*memBud)
 	if err != nil {
 		return err
 	}
@@ -218,9 +179,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		var tee bytes.Buffer
 		bc := &benchContext{
 			ctx: ctx, internet: internet, seed: *seed, pairs: *pairs,
-			engine: engineKind,
-			shards: *shards, memBudget: budgetBytes,
-			out: io.MultiWriter(out, &tee),
+			engine: engineKind, out: io.MultiWriter(out, &tee),
 		}
 		if *counters {
 			bc.counters = new(aspp.Counters)
@@ -336,8 +295,6 @@ func runSusceptibility(bc *benchContext) error {
 	cfg.Seed = bc.seed
 	cfg.Engine = bc.engine
 	cfg.Counters = bc.counters
-	cfg.Shards = bc.shards
-	cfg.MemBudget = bc.memBudget
 	cells, err := experiment.SusceptibilityMatrixCtx(bc.ctx, bc.internet.Graph(), cfg)
 	if err != nil {
 		return err
@@ -472,7 +429,6 @@ func runPairFig(bc *benchContext, kind experiment.PairKind, n int, violate bool,
 	pairsResult, err := bc.internet.SamplePairsCtx(bc.ctx, aspp.PairConfig{
 		Kind: kind, N: n, Prepend: 3, Violate: violate, Seed: bc.seed,
 		Engine: bc.engine, Counters: bc.counters,
-		Shards: bc.shards, MemBudget: bc.memBudget,
 	})
 	if err != nil {
 		return err
@@ -505,7 +461,6 @@ func (bc *benchContext) sweep(victim, attacker aspp.ASN, violate bool) ([]aspp.S
 	return bc.internet.SweepPrependCfgCtx(bc.ctx, aspp.SweepConfig{
 		Victim: victim, Attacker: attacker, MaxLambda: 8, Violate: violate,
 		Engine: bc.engine, Counters: bc.counters,
-		Shards: bc.shards, MemBudget: bc.memBudget,
 	})
 }
 

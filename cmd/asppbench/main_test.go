@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -137,49 +138,42 @@ func TestRunBatchFlagValidation(t *testing.T) {
 	}
 }
 
+// TestRunShardFlagValidation: the shard layer and its knobs are gone —
+// every sweep runs its legs through the one executor, whose memory is
+// bounded without a budget — so -shards and -mem-budget must fail as
+// unknown flags rather than be silently ignored.
 func TestRunShardFlagValidation(t *testing.T) {
-	var sb strings.Builder
-	err := run(context.Background(), []string{"-exp", "fig9", "-n", "400", "-shards", "-2"}, &sb)
-	if err == nil || !strings.Contains(err.Error(), "-shards") {
-		t.Errorf("-shards -2: want a shard-count error, got %v", err)
-	}
-	for _, bad := range []string{"0", "-5", "x", "12Q", "M"} {
-		err := run(context.Background(), []string{"-exp", "fig9", "-n", "400", "-mem-budget", bad}, &sb)
-		if err == nil || !strings.Contains(err.Error(), "-mem-budget") {
-			t.Errorf("-mem-budget %q: want a budget error, got %v", bad, err)
+	for _, args := range [][]string{{"-shards", "2"}, {"-mem-budget", "512M"}} {
+		var sb strings.Builder
+		err := run(context.Background(), append([]string{"-exp", "fig9", "-n", "400"}, args...), &sb)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
+			t.Errorf("%s %s: want an unknown-flag error, got %v", args[0], args[1], err)
 		}
-	}
-	cases := map[string]int64{"65536": 65536, "4k": 4 << 10, "512M": 512 << 20, "2G": 2 << 30}
-	for in, want := range cases {
-		if got, err := parseMemBudget(in); err != nil || got != want {
-			t.Errorf("parseMemBudget(%q) = %d, %v; want %d", in, got, err, want)
-		}
-	}
-	if got, err := parseMemBudget(""); err != nil || got != 0 {
-		t.Errorf("parseMemBudget(\"\") = %d, %v; want 0 (no budget)", got, err)
 	}
 }
 
-// TestRunShardByteIdentical pins the tentpole acceptance contract at the
-// CLI boundary: sweep TSVs must be byte-identical at any shard count and
-// under a per-shard memory budget.
+// TestRunShardByteIdentical pins the acceptance contract at the CLI
+// boundary now that the leg executor is the only path: sweep TSVs must be
+// byte-identical however the legs are split across workers (the worker
+// count follows GOMAXPROCS) and on either attack engine.
 func TestRunShardByteIdentical(t *testing.T) {
 	const exps = "fig7,fig9,susceptibility"
-	runWith := func(extra ...string) string {
+	runWith := func(procs int, extra ...string) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		var sb strings.Builder
 		args := append([]string{"-exp", exps, "-n", "400"}, extra...)
 		if err := run(context.Background(), args, &sb); err != nil {
-			t.Fatalf("%v: %v", extra, err)
+			t.Fatalf("GOMAXPROCS %d %v: %v", procs, extra, err)
 		}
 		return sb.String()
 	}
-	unsharded := runWith()
-	for _, shards := range []string{"1", "2", "7", "32"} {
-		if got := runWith("-shards", shards, "-mem-budget", "64k"); got != unsharded {
-			t.Errorf("-shards %s output differs from unsharded:\n got: %s\nwant: %s", shards, got, unsharded)
+	serial := runWith(1)
+	for _, procs := range []int{2, 7} {
+		if got := runWith(procs); got != serial {
+			t.Errorf("GOMAXPROCS %d output differs from GOMAXPROCS 1:\n got: %s\nwant: %s", procs, got, serial)
 		}
 	}
-	if got := runWith("-mem-budget", "512M"); got != unsharded {
-		t.Errorf("-mem-budget alone differs from unsharded:\n got: %s\nwant: %s", got, unsharded)
+	if got := runWith(2, "-engine", "full"); got != serial {
+		t.Errorf("-engine full output differs from delta:\n got: %s\nwant: %s", got, serial)
 	}
 }

@@ -326,7 +326,7 @@ type EngineKind uint8
 const (
 	// EngineAuto (the zero value) uses the Delta engine whenever a
 	// precomputed baseline is supplied — the sweep-driver case, where
-	// the BaselineCache already paid for it — and the Full engine
+	// the sweep executor already paid for it — and the Full engine
 	// otherwise.
 	EngineAuto EngineKind = iota
 	// EngineFull always runs the full three-phase attack propagation.

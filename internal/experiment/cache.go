@@ -11,61 +11,44 @@ import (
 )
 
 // BaselineCache memoizes no-attack baseline propagations keyed by
-// (origin, λ). The sweep drivers draw many attacker/victim pairs from a
-// small pool, so the same victim announcement is re-propagated over and
-// over; the cache computes each baseline exactly once and shares the
-// Result read-only across workers.
+// (origin, λ), computing each baseline exactly once and sharing the
+// Result read-only across goroutines.
+//
+// No sweep uses it: the sweeps run their legs through runLegs,
+// which computes each (victim, λ) group's baseline once and drops it.
+// The type survives only for perfbench's traced pair replay, which calls
+// NewBaselineCacheBudget, Get and PeakBytes; once that replay runs
+// through the sweep executor the type can be deleted.
 //
 // Invalidation rule: there is none. A cache is bound to one immutable
 // Graph for its whole lifetime — entries can never go stale because
 // neither the topology nor an entry's (origin, λ) announcement can
-// change. Never reuse a cache across graphs; build a new one per sweep
-// (they are cheap: an empty map).
+// change. Never reuse a cache across graphs.
 //
-// The cached Results are shared: callers must treat them as read-only and
-// must not attach them to anything that mutates them (attack propagation
-// writes only to its own result slot, so SimulateWithBaseline and
-// SimulateCounts are safe consumers).
-//
+// The cached Results are shared: callers must treat them as read-only.
 // Only plain scenarios are cacheable: the key cannot represent
-// per-neighbor prepending or withheld sessions, so callers with such
-// scenarios must bypass the cache (pass a nil baseline downstream).
+// per-neighbor prepending or withheld sessions.
 type BaselineCache struct {
 	g   *topology.Graph
 	obs *obs.Counters
 	mu  sync.Mutex
 	m   map[baselineKey]*baselineEntry
 
-	// Byte-budgeted mode (sharded sweeps, DESIGN §5f). budget == 0 means
-	// unbounded — the legacy shared cache. In budgeted mode the cache
-	// tracks the bytes of successfully installed Results (order records
-	// insertion order) and evicts FIFO down to budget whenever an insert
-	// exceeds it, always retaining at least the keep newest entries (so
-	// the entry just installed survives its own insert). Eviction
-	// deletes the map entry only: outstanding *Result pointers held by
-	// callers stay valid (a Result is immutable), the victim is merely
-	// recomputed — and re-counted as a miss — if requested again. peak
-	// is the high-watermark the cache_bytes gauge reports; it survives
-	// Release.
-	//
-	// A budgeted cache is meant for single-goroutine (shard-local) use:
-	// the accounting assumes the goroutine that creates an entry is the
-	// one that computes it.
+	// Byte-budgeted mode. budget == 0 means unbounded. In budgeted mode
+	// the cache tracks the bytes of successfully installed Results (order
+	// records insertion order) and evicts FIFO down to budget whenever an
+	// insert exceeds it, always retaining at least the keep newest
+	// entries (so the entry just installed survives its own insert).
+	// Eviction deletes the map entry only: outstanding *Result pointers
+	// stay valid, and an evicted key is recomputed — and re-counted as a
+	// miss — if requested again. peak is the high-watermark PeakBytes
+	// reports. The accounting assumes single-goroutine use: the goroutine
+	// that creates an entry is the one that computes it.
 	budget int64
 	keep   int
 	bytes  int64
 	peak   int64
 	order  []baselineKey
-}
-
-// baselineOnly computes one cache entry. It is a package variable only so
-// fault-injection tests can force a deterministic per-victim baseline
-// failure; production code never reassigns it.
-var baselineOnly = core.BaselineOnly
-
-type baselineKey struct {
-	origin bgp.ASN
-	lambda int
 }
 
 type baselineEntry struct {
@@ -89,11 +72,11 @@ func NewBaselineCacheObs(g *topology.Graph, c *obs.Counters) *BaselineCache {
 	return &BaselineCache{g: g, obs: c, m: make(map[baselineKey]*baselineEntry)}
 }
 
-// NewBaselineCacheBudget returns a byte-budgeted cache for shard-local
-// use: once the installed Results exceed budget bytes the oldest entries
-// are evicted FIFO, always retaining at least the keep newest (keep is
-// clamped to >= 1). budget <= 0 means unbounded, identical to
-// NewBaselineCacheObs.
+// NewBaselineCacheBudget returns a byte-budgeted cache for
+// single-goroutine use: once the installed Results exceed budget bytes
+// the oldest entries are evicted FIFO, always retaining at least the
+// keep newest (keep is clamped to >= 1). budget <= 0 means unbounded,
+// identical to NewBaselineCacheObs.
 func NewBaselineCacheBudget(g *topology.Graph, c *obs.Counters, budget int64, keep int) *BaselineCache {
 	cc := NewBaselineCacheObs(g, c)
 	if budget > 0 {
@@ -132,31 +115,12 @@ func (c *BaselineCache) account(key baselineKey, res *routing.Result) {
 	c.mu.Unlock()
 }
 
-// Bytes reports the bytes currently held by installed Results (budgeted
-// caches only; 0 otherwise).
-func (c *BaselineCache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
-
-// PeakBytes reports the high-watermark of Bytes over the cache's
-// lifetime — the value the cache_bytes gauge records. It survives
-// Release so a shard can be audited after its cache is dropped.
+// PeakBytes reports the high-watermark of the bytes held by installed
+// Results over the cache's lifetime (budgeted caches only; 0 otherwise).
 func (c *BaselineCache) PeakBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.peak
-}
-
-// Release drops every entry, returning the cache to empty (the
-// release-after-shard lifecycle). PeakBytes is retained.
-func (c *BaselineCache) Release() {
-	c.mu.Lock()
-	c.m = make(map[baselineKey]*baselineEntry)
-	c.order = nil
-	c.bytes = 0
-	c.mu.Unlock()
 }
 
 // Get returns the no-attack baseline for origin announcing with λ = lambda

@@ -8,6 +8,7 @@ import (
 
 	"aspp/internal/bgp"
 	"aspp/internal/core"
+	"aspp/internal/obs"
 )
 
 func TestBaselineCacheSharesOneResult(t *testing.T) {
@@ -73,7 +74,68 @@ func TestBaselineCacheMatchesDirectPropagation(t *testing.T) {
 	}
 }
 
-// TestSamplePairsCachedMatchesSimulate pins the cached+scratch sweep path
+// TestBaselineCacheBudgetEviction: unit coverage of the FIFO budget —
+// the resident bytes stay within budget once past the keep floor, and
+// evicted entries recompute as fresh misses.
+func TestBaselineCacheBudgetEviction(t *testing.T) {
+	g := expGraph(t, 300, 32)
+	asns := g.ASNs()
+	one, err := core.BaselineOnly(g, core.Scenario{Victim: asns[0], Prepend: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := one.MemoryBytes()
+	c := new(obs.Counters)
+	// Budget fits ~3 entries; keep floor of 2.
+	budget := 3*entry + entry/2
+	cache := NewBaselineCacheBudget(g, c, budget, 2)
+	for i := 0; i < 8; i++ {
+		if _, err := cache.Get(asns[i], 1); err != nil {
+			t.Fatalf("Get %d: %v", i, err)
+		}
+	}
+	if peak := cache.PeakBytes(); peak <= 0 || peak > budget {
+		t.Fatalf("PeakBytes() = %d, want within (0, %d]", peak, budget)
+	}
+	if cache.Len() >= 8 {
+		t.Fatalf("no eviction happened: Len=%d", cache.Len())
+	}
+	missesBefore := c.Snapshot().BaselineMisses
+	if _, err := cache.Get(asns[0], 1); err != nil { // evicted long ago
+		t.Fatal(err)
+	}
+	if got := c.Snapshot().BaselineMisses; got != missesBefore+1 {
+		t.Fatalf("evicted key re-Get misses = %d, want %d", got, missesBefore+1)
+	}
+}
+
+// TestBaselineCacheKeepFloor: the keep newest entries survive even when
+// they alone exceed the budget.
+func TestBaselineCacheKeepFloor(t *testing.T) {
+	g := expGraph(t, 300, 32)
+	asns := g.ASNs()
+	cache := NewBaselineCacheBudget(g, nil, 1, 4) // budget of one byte, keep 4
+	for i := 0; i < 6; i++ {
+		if _, err := cache.Get(asns[i], 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := cache.Len(); got != 4 {
+		t.Fatalf("Len = %d, want keep floor 4", got)
+	}
+	// The newest keys are the survivors: re-Get must not grow the map.
+	for i := 2; i < 6; i++ {
+		before := cache.Len()
+		if _, err := cache.Get(asns[i], 1); err != nil {
+			t.Fatal(err)
+		}
+		if cache.Len() != before {
+			t.Fatalf("Get(asns[%d]) recomputed a kept entry", i)
+		}
+	}
+}
+
+// TestSamplePairsCachedMatchesSimulate pins the executor's sweep path
 // to the plain per-call core.Simulate results.
 func TestSamplePairsCachedMatchesSimulate(t *testing.T) {
 	g := expGraph(t, 400, 11)
@@ -104,8 +166,8 @@ func TestDriversReturnCtxErrWhenCancelled(t *testing.T) {
 	if _, err := SamplePairsCtx(ctx, g, PairConfig{Kind: PairsTier1, N: 10, Prepend: 3, Seed: 1}); !errors.Is(err, context.Canceled) {
 		t.Errorf("SamplePairsCtx: %v, want context.Canceled", err)
 	}
-	if _, err := SweepPrependCtx(ctx, g, t1[0], t1[1], 6, false, 0); !errors.Is(err, context.Canceled) {
-		t.Errorf("SweepPrependCtx: %v, want context.Canceled", err)
+	if _, err := SweepPrependCfgCtx(ctx, g, SweepConfig{Victim: t1[0], Attacker: t1[1], MaxLambda: 6}); !errors.Is(err, context.Canceled) {
+		t.Errorf("SweepPrependCfgCtx: %v, want context.Canceled", err)
 	}
 	if _, err := SusceptibilityMatrixCtx(ctx, g, DefaultSusceptibilityConfig()); !errors.Is(err, context.Canceled) {
 		t.Errorf("SusceptibilityMatrixCtx: %v, want context.Canceled", err)

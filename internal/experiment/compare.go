@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net/netip"
 
 	"aspp/internal/bgp"
@@ -55,71 +54,53 @@ func CompareAttackTypes(g *topology.Graph, cfg CompareConfig) ([]AttackCompariso
 }
 
 // CompareAttackTypesCtx is CompareAttackTypes with cooperative
-// cancellation, checked in every simulation fan-out. Baselines for the
-// ASPP family are memoized per victim in a BaselineCache. Returns
-// (nil, ctx.Err()) when cancelled.
+// cancellation, checked in every simulation fan-out. The ASPP family's
+// legs run through the sweep executor, which shares each victim's
+// baseline across its legs. Returns (nil, ctx.Err()) when cancelled.
 func CompareAttackTypesCtx(ctx context.Context, g *topology.Graph, cfg CompareConfig) ([]AttackComparison, error) {
 	if cfg.Pairs <= 0 || cfg.Prepend < 2 || cfg.Monitors <= 0 {
 		return nil, errors.New("experiment: bad comparison config")
 	}
 	monitors := g.TopByDegree(cfg.Monitors)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	asns := g.ASNs()
 
 	// Shared pairs: each must make the ASPP attack effective so all three
 	// families face the same instances. Drawn in chunks of cfg.Pairs from
-	// one rng stream — the k-th candidate is chunking-independent, so the
-	// usable set matches a draw-everything-upfront sweep while stopping
-	// after ≈Pairs simulations instead of the full 30× retry budget.
-	type pair struct{ v, m bgp.ASN }
-	var pairs []pair
-	budget := cfg.Pairs * 30
-	drawn := 0
-	nextChunk := func(size int) []pair {
-		chunk := make([]pair, 0, size)
-		for len(chunk) < size && drawn < budget {
-			v := asns[rng.Intn(len(asns))]
-			m := asns[rng.Intn(len(asns))]
-			if v != m {
-				chunk = append(chunk, pair{v, m})
-				drawn++
-			}
-		}
-		return chunk
-	}
-	cache := NewBaselineCacheObs(g, cfg.Counters)
-	var impacts []*core.Impact
+	// one stream, stopping after ≈Pairs simulations instead of the full
+	// 30× retry budget.
+	draws := newPairStream(g.ASNs(), cfg.Seed, cfg.Pairs*30, false)
+	var (
+		pairs   []pairDraw
+		impacts []*core.Impact
+	)
 	for len(impacts) < cfg.Pairs {
-		chunk := nextChunk(cfg.Pairs)
+		chunk := draws.next(cfg.Pairs)
 		if len(chunk) == 0 {
 			break // retry budget exhausted
 		}
-		aspp, cerr := parallel.MapErr(ctx, len(chunk), cfg.Workers, func(i int) (*core.Impact, error) {
-			base, err := cache.Get(chunk[i].v, cfg.Prepend)
-			if err != nil {
-				return nil, baselineError(chunk[i].v, cfg.Prepend, err)
-			}
-			im, err := core.SimulateWithBaselineObs(g, core.Scenario{
-				Victim:            chunk[i].v,
-				Attacker:          chunk[i].m,
-				Prepend:           cfg.Prepend,
-				ViolateValleyFree: true,
-			}, base, cfg.Counters)
-			if routing.Skippable(err) {
-				cfg.Counters.AddSkippedUnreachable(1)
-				return nil, nil // skippable draw; redrawn from the stream
-			}
-			if err != nil {
-				return nil, fmt.Errorf("pair %v/%v: %w", chunk[i].v, chunk[i].m, err)
-			}
-			if len(im.NewlyPolluted()) == 0 {
-				cfg.Counters.AddSkippedIneffective(1)
-				return nil, nil // no-op attack: nothing to compare or detect
-			}
-			return im, nil
-		})
-		if cerr != nil {
-			return nil, sweepError("comparison sweep", cerr)
+		aspp := make([]*core.Impact, len(chunk))
+		err := runLegs(ctx, g, cfg.Workers, cfg.Counters, len(chunk), chunkKey(chunk, cfg.Prepend),
+			func(_ *routing.Scratch, base *routing.Result, i int) error {
+				im, err := core.SimulateWithBaselineObs(g, core.Scenario{
+					Victim:            chunk[i].v,
+					Attacker:          chunk[i].m,
+					Prepend:           cfg.Prepend,
+					ViolateValleyFree: true,
+				}, base, cfg.Counters)
+				if skipped(err, cfg.Counters) {
+					return nil // redrawn from the stream
+				}
+				if err != nil {
+					return fmt.Errorf("pair %v/%v: %w", chunk[i].v, chunk[i].m, err)
+				}
+				if len(im.NewlyPolluted()) == 0 {
+					cfg.Counters.AddSkippedIneffective(1)
+					return nil // no-op attack: nothing to compare or detect
+				}
+				aspp[i] = im
+				return nil
+			})
+		if err != nil {
+			return nil, sweepError("comparison sweep", err)
 		}
 		for i, im := range aspp {
 			if im != nil {
@@ -131,7 +112,7 @@ func CompareAttackTypesCtx(ctx context.Context, g *topology.Graph, cfg CompareCo
 			}
 		}
 	}
-	if len(impacts) < cfg.Pairs/2 {
+	if len(impacts) == 0 || len(impacts) < cfg.Pairs/2 {
 		return nil, fmt.Errorf("experiment: only %d usable pairs", len(impacts))
 	}
 

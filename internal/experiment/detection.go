@@ -102,11 +102,11 @@ func RunDetection(g *topology.Graph, cfg DetectionConfig) (*DetectionOutcome, er
 }
 
 // RunDetectionCtx is RunDetection with cooperative cancellation, checked
-// between attack simulation and every per-monitor-count evaluation pass.
+// between attack legs and every per-monitor-count evaluation pass.
 // Detection needs the full Impact (monitor paths), so the attack results
-// are freshly allocated — but the per-victim baselines are still memoized
-// in a BaselineCache and shared read-only. Returns (nil, ctx.Err()) when
-// cancelled.
+// are freshly allocated; the legs still run through the sweep executor,
+// which shares each victim's baseline across its legs. Returns
+// (nil, ctx.Err()) when cancelled.
 func RunDetectionCtx(ctx context.Context, g *topology.Graph, cfg DetectionConfig) (*DetectionOutcome, error) {
 	if len(cfg.MonitorCounts) == 0 || cfg.Pairs <= 0 {
 		return nil, errors.New("experiment: empty detection config")
@@ -120,59 +120,38 @@ func RunDetectionCtx(ctx context.Context, g *topology.Graph, cfg DetectionConfig
 	}
 
 	// Draw pairs — victims and attackers uniform over all ASes — in chunks
-	// of cfg.Pairs from one rng stream, stopping once cfg.Pairs usable
-	// attacks exist. The k-th candidate is identical regardless of the
-	// chunking, so the usable set matches a draw-everything-upfront sweep;
-	// the 20× budget only bounds how far redraws may reach.
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	asns := g.ASNs()
-	type pair struct{ v, m bgp.ASN }
-	budget := cfg.Pairs * 20
-	drawn := 0
-	nextChunk := func(size int) []pair {
-		chunk := make([]pair, 0, size)
-		for len(chunk) < size && drawn < budget {
-			v := asns[rng.Intn(len(asns))]
-			m := asns[rng.Intn(len(asns))]
-			if v != m {
-				chunk = append(chunk, pair{v, m})
-				drawn++
-			}
-		}
-		return chunk
-	}
-	cache := NewBaselineCacheObs(g, cfg.Counters)
+	// of cfg.Pairs from one stream, stopping once cfg.Pairs usable attacks
+	// exist; the 20× budget only bounds how far redraws may reach.
+	draws := newPairStream(g.ASNs(), cfg.Seed, cfg.Pairs*20, false)
 	// Usable attacks must actually capture someone: an attack that
 	// changes no routes is a no-op — unobservable and harmless — and
 	// would only dilute the accuracy denominator.
 	usable := make([]*core.Impact, 0, cfg.Pairs)
 	for len(usable) < cfg.Pairs {
-		chunk := nextChunk(cfg.Pairs)
+		chunk := draws.next(cfg.Pairs)
 		if len(chunk) == 0 {
 			break // retry budget exhausted
 		}
-		impacts, cerr := parallel.MapErr(ctx, len(chunk), cfg.Workers, func(i int) (*core.Impact, error) {
-			base, err := cache.Get(chunk[i].v, cfg.Prepend)
-			if err != nil {
-				return nil, baselineError(chunk[i].v, cfg.Prepend, err)
-			}
-			im, err := core.SimulateWithBaselineObs(g, core.Scenario{
-				Victim:            chunk[i].v,
-				Attacker:          chunk[i].m,
-				Prepend:           cfg.Prepend,
-				ViolateValleyFree: cfg.Violate,
-			}, base, cfg.Counters)
-			if routing.Skippable(err) {
-				cfg.Counters.AddSkippedUnreachable(1)
-				return nil, nil // skippable draw; redrawn from the stream
-			}
-			if err != nil {
-				return nil, fmt.Errorf("pair %v/%v: %w", chunk[i].v, chunk[i].m, err)
-			}
-			return im, nil
-		})
-		if cerr != nil {
-			return nil, sweepError("detection sweep", cerr)
+		impacts := make([]*core.Impact, len(chunk))
+		err := runLegs(ctx, g, cfg.Workers, cfg.Counters, len(chunk), chunkKey(chunk, cfg.Prepend),
+			func(_ *routing.Scratch, base *routing.Result, i int) error {
+				im, err := core.SimulateWithBaselineObs(g, core.Scenario{
+					Victim:            chunk[i].v,
+					Attacker:          chunk[i].m,
+					Prepend:           cfg.Prepend,
+					ViolateValleyFree: cfg.Violate,
+				}, base, cfg.Counters)
+				if skipped(err, cfg.Counters) {
+					return nil // redrawn from the stream
+				}
+				if err != nil {
+					return fmt.Errorf("pair %v/%v: %w", chunk[i].v, chunk[i].m, err)
+				}
+				impacts[i] = im
+				return nil
+			})
+		if err != nil {
+			return nil, sweepError("detection sweep", err)
 		}
 		for _, im := range impacts {
 			if im == nil {
@@ -188,7 +167,7 @@ func RunDetectionCtx(ctx context.Context, g *topology.Graph, cfg DetectionConfig
 			}
 		}
 	}
-	if len(usable) < cfg.Pairs/2 {
+	if len(usable) == 0 || len(usable) < cfg.Pairs/2 {
 		return nil, fmt.Errorf("experiment: only %d usable attack pairs", len(usable))
 	}
 

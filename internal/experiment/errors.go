@@ -11,10 +11,11 @@ import (
 // ErrBaselineFailed marks a *fatal* sweep error: a victim's no-attack
 // baseline propagation failed. Unlike an unreachable attacker — a property
 // of one drawn pair, redrawn and counted as skipped — a baseline failure
-// is a property of the victim and repeats identically for every pair
-// sharing that victim (BaselineCache memoizes the error), so redrawing
-// can only shrink the sample silently. Drivers abort the sweep instead.
-// Match with errors.Is.
+// is a property of the victim and fails the whole (victim, λ) group of
+// legs in the sweep executor; it would fail again for every redraw
+// sharing that victim, so redrawing could only shrink the sample
+// silently. The executor aborts the sweep instead, reporting the lowest
+// failing group's error. Match with errors.Is.
 var ErrBaselineFailed = errors.New("experiment: baseline propagation failed")
 
 // baselineError wraps a per-victim baseline failure with the fatal

@@ -16,7 +16,6 @@ import (
 	"aspp/internal/bgp"
 	"aspp/internal/core"
 	"aspp/internal/obs"
-	"aspp/internal/parallel"
 	"aspp/internal/routing"
 	"aspp/internal/topology"
 )
@@ -58,15 +57,6 @@ type PairConfig struct {
 	// engine, cache hits, skipped draws). One Counters per sweep; nil
 	// disables recording.
 	Counters *obs.Counters
-	// Shards > 0 partitions the candidate space by victim into that many
-	// shards, each owning a private byte-budgeted BaselineCache, and
-	// dispatches shards across the worker pool (DESIGN §5f). Output is
-	// byte-identical to the unsharded path at any shard count. 0 with no
-	// MemBudget keeps the legacy shared-cache path.
-	Shards int
-	// MemBudget caps each shard's baseline-cache bytes (FIFO eviction).
-	// MemBudget alone implies one budgeted shard; 0 means unbounded.
-	MemBudget int64
 }
 
 // SamplePairs simulates cfg.N interception instances with independently
@@ -77,12 +67,12 @@ func SamplePairs(g *topology.Graph, cfg PairConfig) ([]PairImpact, error) {
 	return SamplePairsCtx(context.Background(), g, cfg)
 }
 
-// SamplePairsCtx is SamplePairs with cooperative cancellation. The sweep
-// runs on the allocation-free path: each worker owns one routing.Scratch
-// for its whole share of the instances, and baselines are memoized per
-// (victim, λ) in a BaselineCache shared read-only across workers. On
-// cancellation it returns (nil, ctx.Err()): in-flight instances drain
-// deterministically but no partial ranking is produced.
+// SamplePairsCtx is SamplePairs with cooperative cancellation. The
+// attack legs run through the sweep executor (runLegs): each worker owns
+// one routing.Scratch, and each (victim, λ) baseline is computed once per
+// chunk and shared read-only by that victim's legs. On cancellation it
+// returns (nil, ctx.Err()): in-flight legs drain deterministically but no
+// partial ranking is produced.
 //
 // Candidates are drained in chunks of N from one deterministic draw
 // stream, stopping as soon as N usable instances exist — with no skipped
@@ -98,115 +88,55 @@ func SamplePairsCtx(ctx context.Context, g *topology.Graph, cfg PairConfig) ([]P
 	if cfg.Prepend < 1 {
 		return nil, errors.New("experiment: prepend must be >= 1")
 	}
-	var pool []bgp.ASN
+	var draws *pairStream
 	switch cfg.Kind {
 	case PairsTier1:
-		pool = g.Tier1s()
+		pool := g.Tier1s()
 		if len(pool) < 2 {
 			return nil, errors.New("experiment: fewer than two tier-1 ASes")
 		}
+		// The tier-1 pool is small: draw each ordered pair at most once.
+		draws = newPairStream(pool, cfg.Seed, cfg.N*20, true)
 	case PairsRandom:
-		pool = g.ASNs()
+		draws = newPairStream(g.ASNs(), cfg.Seed, cfg.N*20, false)
 	default:
 		return nil, fmt.Errorf("experiment: unknown pair kind %d", cfg.Kind)
 	}
 
-	// Candidates come from one rng stream regardless of chunking, so the
-	// k-th candidate is identical whether the sweep simulates one chunk or
-	// the whole budget — determinism is in the stream, not the batching.
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	budget := cfg.N * 20
-	var (
-		drawn      int
-		seen       = make(map[pairDraw]bool, cfg.N)
-		maxOrdered = len(pool) * (len(pool) - 1)
-		exhausted  bool
-	)
-	nextChunk := func(size int) []pairDraw {
-		chunk := make([]pairDraw, 0, size)
-		for len(chunk) < size && drawn < budget && !exhausted {
-			v := pool[rng.Intn(len(pool))]
-			m := pool[rng.Intn(len(pool))]
-			if v == m {
-				continue
-			}
-			p := pairDraw{v, m}
-			if cfg.Kind == PairsTier1 && seen[p] {
-				continue // tier-1 pool is small; avoid duplicate instances
-			}
-			seen[p] = true
-			chunk = append(chunk, p)
-			drawn++
-			if cfg.Kind == PairsTier1 && len(seen) == maxOrdered {
-				exhausted = true // all ordered tier-1 pairs drawn
-			}
-		}
-		return chunk
-	}
-
-	nShards, err := normalizeShards(cfg.Shards, cfg.MemBudget)
-	if err != nil {
-		return nil, err
-	}
-	var (
-		ss    *shardSet
-		cache *BaselineCache
-	)
-	if nShards > 0 {
-		// Sharded path: shard states (and their caches) persist across
-		// chunks so repeated victims stay warm; gauges are recorded and
-		// caches released when the sweep completes.
-		ss = newShardSet(g, nShards, cfg.MemBudget, cfg.Counters)
-	} else {
-		cache = NewBaselineCacheObs(g, cfg.Counters)
-	}
 	out := make([]PairImpact, 0, cfg.N)
 	for len(out) < cfg.N {
-		chunk := nextChunk(cfg.N)
+		chunk := draws.next(cfg.N)
 		if len(chunk) == 0 {
 			break // retry budget or pair space exhausted
 		}
-		var (
-			results []*PairImpact
-			cerr    error
-		)
-		if ss != nil {
-			results, cerr = ss.runPairChunk(ctx, cfg, chunk)
-		} else {
-			results, cerr = parallel.MapScratchErr(ctx, len(chunk), cfg.Workers, routing.NewScratch,
-				func(s *routing.Scratch, i int) (*PairImpact, error) {
-					p := chunk[i]
-					base, err := cache.Get(p.v, cfg.Prepend)
-					if err != nil {
-						// Fatal: the failure is per-victim and memoized — it
-						// would repeat for every pair sharing this victim.
-						return nil, baselineError(p.v, cfg.Prepend, err)
-					}
-					c, err := core.SimulateCountsEngineObs(g, core.Scenario{
-						Victim:            p.v,
-						Attacker:          p.m,
-						Prepend:           cfg.Prepend,
-						ViolateValleyFree: cfg.Violate,
-					}, base, s, cfg.Engine, cfg.Counters)
-					if routing.Skippable(err) {
-						cfg.Counters.AddSkippedUnreachable(1)
-						return nil, nil // skippable draw; redrawn from the stream
-					}
-					if err != nil {
-						return nil, fmt.Errorf("pair %v/%v: %w", p.v, p.m, err)
-					}
-					return &PairImpact{
-						Victim:     p.v,
-						Attacker:   p.m,
-						VictimTier: g.Tier(p.v),
-						AttackTier: g.Tier(p.m),
-						Before:     c.Before(),
-						After:      c.After(),
-					}, nil
-				})
-		}
-		if cerr != nil {
-			return nil, sweepError("pair sweep", cerr)
+		results := make([]*PairImpact, len(chunk))
+		err := runLegs(ctx, g, cfg.Workers, cfg.Counters, len(chunk), chunkKey(chunk, cfg.Prepend),
+			func(s *routing.Scratch, base *routing.Result, i int) error {
+				p := chunk[i]
+				c, err := core.SimulateCountsEngineObs(g, core.Scenario{
+					Victim:            p.v,
+					Attacker:          p.m,
+					Prepend:           cfg.Prepend,
+					ViolateValleyFree: cfg.Violate,
+				}, base, s, cfg.Engine, cfg.Counters)
+				if skipped(err, cfg.Counters) {
+					return nil // redrawn from the stream
+				}
+				if err != nil {
+					return fmt.Errorf("pair %v/%v: %w", p.v, p.m, err)
+				}
+				results[i] = &PairImpact{
+					Victim:     p.v,
+					Attacker:   p.m,
+					VictimTier: g.Tier(p.v),
+					AttackTier: g.Tier(p.m),
+					Before:     c.Before(),
+					After:      c.After(),
+				}
+				return nil
+			})
+		if err != nil {
+			return nil, sweepError("pair sweep", err)
 		}
 		for _, r := range results {
 			if r == nil {
@@ -217,9 +147,6 @@ func SamplePairsCtx(ctx context.Context, g *topology.Graph, cfg PairConfig) ([]P
 				break
 			}
 		}
-	}
-	if ss != nil {
-		ss.finish(cfg.Counters)
 	}
 	if len(out) < cfg.N {
 		return out, fmt.Errorf("experiment: only %d of %d instances usable", len(out), cfg.N)
@@ -237,6 +164,67 @@ func SamplePairsCtx(ctx context.Context, g *topology.Graph, cfg PairConfig) ([]P
 	return out, nil
 }
 
+// pairDraw is one (victim, attacker) candidate of a pair-drawing sweep.
+type pairDraw struct{ v, m bgp.ASN }
+
+// pairStream is the candidate stream shared by the pair-drawing sweeps
+// (SamplePairs, RunDetection, CompareAttackTypes): victim then attacker
+// uniform over pool from one rng, self-pairs rejected. Because every
+// candidate comes from the one stream, the k-th candidate is the same
+// whether a sweep drains one chunk or the whole budget — determinism is
+// in the stream, not the chunking.
+type pairStream struct {
+	rng    *rand.Rand
+	pool   []bgp.ASN
+	budget int // candidates the stream may yield in total
+	drawn  int
+	// seen is non-nil for a distinct-pairs stream, which yields each
+	// ordered pair at most once and ends when all have been drawn.
+	seen map[pairDraw]bool
+}
+
+func newPairStream(pool []bgp.ASN, seed int64, budget int, distinct bool) *pairStream {
+	ps := &pairStream{rng: rand.New(rand.NewSource(seed)), pool: pool, budget: budget}
+	if distinct {
+		ps.seen = make(map[pairDraw]bool)
+	}
+	return ps
+}
+
+// next draws up to size candidates; an empty chunk means the stream is
+// spent (retry budget reached or, for a distinct stream, every ordered
+// pair drawn).
+func (ps *pairStream) next(size int) []pairDraw {
+	chunk := make([]pairDraw, 0, size)
+	n := len(ps.pool)
+	if n < 2 {
+		return chunk
+	}
+	for len(chunk) < size && ps.drawn < ps.budget {
+		if ps.seen != nil && len(ps.seen) == n*(n-1) {
+			break
+		}
+		p := pairDraw{ps.pool[ps.rng.Intn(n)], ps.pool[ps.rng.Intn(n)]}
+		if p.v == p.m {
+			continue
+		}
+		if ps.seen != nil {
+			if ps.seen[p] {
+				continue
+			}
+			ps.seen[p] = true
+		}
+		chunk = append(chunk, p)
+		ps.drawn++
+	}
+	return chunk
+}
+
+// chunkKey keys each candidate's leg by its victim's λ-prepended baseline.
+func chunkKey(chunk []pairDraw, lambda int) func(int) baselineKey {
+	return func(i int) baselineKey { return baselineKey{chunk[i].v, lambda} }
+}
+
 // SweepPoint is one λ step of a prepend sweep.
 type SweepPoint struct {
 	Lambda        int
@@ -244,28 +232,14 @@ type SweepPoint struct {
 }
 
 // SweepPrepend simulates one victim/attacker pair for λ = 1..maxLambda
-// (paper Figs. 9-12). Steps run concurrently; results are index-ordered.
+// (paper Figs. 9-12) with the default engine; results are λ-ordered.
 func SweepPrepend(g *topology.Graph, victim, attacker bgp.ASN, maxLambda int, violate bool, workers int) ([]SweepPoint, error) {
-	return SweepPrependCtx(context.Background(), g, victim, attacker, maxLambda, violate, workers)
-}
-
-// SweepPrependCtx is SweepPrepend with cooperative cancellation, running
-// each λ step on a worker-owned routing.Scratch with the default engine
-// policy. Returns (nil, ctx.Err()) when cancelled.
-func SweepPrependCtx(ctx context.Context, g *topology.Graph, victim, attacker bgp.ASN, maxLambda int, violate bool, workers int) ([]SweepPoint, error) {
-	return SweepPrependEngineCtx(ctx, g, victim, attacker, maxLambda, violate, workers, core.EngineAuto)
-}
-
-// SweepPrependEngineCtx is SweepPrependCtx with an explicit engine choice
-// (the asppbench -engine ablation).
-func SweepPrependEngineCtx(ctx context.Context, g *topology.Graph, victim, attacker bgp.ASN, maxLambda int, violate bool, workers int, engine core.EngineKind) ([]SweepPoint, error) {
-	return SweepPrependCfgCtx(ctx, g, SweepConfig{
+	return SweepPrependCfgCtx(context.Background(), g, SweepConfig{
 		Victim:    victim,
 		Attacker:  attacker,
 		MaxLambda: maxLambda,
 		Violate:   violate,
 		Workers:   workers,
-		Engine:    engine,
 	})
 }
 
@@ -278,37 +252,24 @@ type SweepConfig struct {
 	Engine           core.EngineKind
 	// Counters optionally collects sweep telemetry; nil disables recording.
 	Counters *obs.Counters
-	// Shards > 0 splits λ = 1..MaxLambda into contiguous blocks, one
-	// budgeted shard cache per block (DESIGN §5f); output byte-identical
-	// at any shard count. MemBudget caps each shard's cache bytes;
-	// MemBudget alone implies one budgeted shard.
-	Shards    int
-	MemBudget int64
 }
 
 // SweepPrependCfgCtx simulates one victim/attacker pair for
-// λ = 1..MaxLambda. Each λ step's no-attack baseline is memoized per
-// (victim, λ) in a BaselineCache and the attack leg is recomputed against
-// it — incrementally under the delta engine, which only re-walks the
-// attacker's cone. For a single fixed pair there is nothing to redraw, so
-// the error contract is all-fatal: any step failing (even an unreachable
-// attacker) aborts the sweep with the lowest-λ error.
+// λ = 1..MaxLambda, with cooperative cancellation. Every λ is its own
+// baseline, so the executor runs the λ steps in parallel, each attack
+// leg recomputed against its step's baseline — incrementally under the
+// delta engine, which only re-walks the attacker's cone. For a single
+// fixed pair there is nothing to redraw, so the error contract is
+// all-fatal: any step failing (even an unreachable attacker) aborts the
+// sweep with the lowest-λ error. Returns (nil, ctx.Err()) when cancelled.
 func SweepPrependCfgCtx(ctx context.Context, g *topology.Graph, cfg SweepConfig) ([]SweepPoint, error) {
 	if cfg.MaxLambda < 1 {
 		return nil, errors.New("experiment: maxLambda must be >= 1")
 	}
-	if nShards, err := normalizeShards(cfg.Shards, cfg.MemBudget); err != nil {
-		return nil, err
-	} else if nShards > 0 {
-		return runShardedSweep(ctx, g, cfg, nShards)
-	}
-	cache := NewBaselineCacheObs(g, cfg.Counters)
-	points, cerr := parallel.MapScratchErr(ctx, cfg.MaxLambda, cfg.Workers, routing.NewScratch,
-		func(s *routing.Scratch, i int) (SweepPoint, error) {
-			base, err := cache.Get(cfg.Victim, i+1)
-			if err != nil {
-				return SweepPoint{}, baselineError(cfg.Victim, i+1, err)
-			}
+	points := make([]SweepPoint, cfg.MaxLambda)
+	err := runLegs(ctx, g, cfg.Workers, cfg.Counters, cfg.MaxLambda,
+		func(i int) baselineKey { return baselineKey{cfg.Victim, i + 1} },
+		func(s *routing.Scratch, base *routing.Result, i int) error {
 			c, err := core.SimulateCountsEngineObs(g, core.Scenario{
 				Victim:            cfg.Victim,
 				Attacker:          cfg.Attacker,
@@ -316,12 +277,13 @@ func SweepPrependCfgCtx(ctx context.Context, g *topology.Graph, cfg SweepConfig)
 				ViolateValleyFree: cfg.Violate,
 			}, base, s, cfg.Engine, cfg.Counters)
 			if err != nil {
-				return SweepPoint{}, fmt.Errorf("λ=%d: %w", i+1, err)
+				return fmt.Errorf("λ=%d: %w", i+1, err)
 			}
-			return SweepPoint{Lambda: i + 1, Before: c.Before(), After: c.After()}, nil
+			points[i] = SweepPoint{Lambda: i + 1, Before: c.Before(), After: c.After()}
+			return nil
 		})
-	if cerr != nil {
-		return nil, sweepError(fmt.Sprintf("sweep %v/%v", cfg.Victim, cfg.Attacker), cerr)
+	if err != nil {
+		return nil, sweepError(fmt.Sprintf("sweep %v/%v", cfg.Victim, cfg.Attacker), err)
 	}
 	return points, nil
 }

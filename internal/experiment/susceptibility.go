@@ -10,7 +10,6 @@ import (
 	"aspp/internal/bgp"
 	"aspp/internal/core"
 	"aspp/internal/obs"
-	"aspp/internal/parallel"
 	"aspp/internal/routing"
 	"aspp/internal/topology"
 )
@@ -40,13 +39,6 @@ type SusceptibilityConfig struct {
 	Engine core.EngineKind
 	// Counters optionally collects sweep telemetry; nil disables recording.
 	Counters *obs.Counters
-	// Shards > 0 partitions the jobs by victim into that many shards,
-	// each owning a private byte-budgeted BaselineCache released as soon
-	// as its shard completes (DESIGN §5f); output byte-identical at any
-	// shard count. MemBudget caps each shard's cache bytes; MemBudget
-	// alone implies one budgeted shard.
-	Shards    int
-	MemBudget int64
 }
 
 // DefaultSusceptibilityConfig returns the calibrated setup. The matrix
@@ -74,9 +66,10 @@ func SusceptibilityMatrix(g *topology.Graph, cfg SusceptibilityConfig) ([]TierCe
 }
 
 // SusceptibilityMatrixCtx is SusceptibilityMatrix with cooperative
-// cancellation, running on worker-owned routing.Scratch state with
-// (victim, λ) baselines memoized in a shared BaselineCache (victims repeat
-// heavily across cells). Returns (nil, ctx.Err()) when cancelled.
+// cancellation. All instances are drawn up front and run through the
+// sweep executor, so each victim's baseline is computed once and shared
+// by its instances across cells (victims repeat heavily). Returns
+// (nil, ctx.Err()) when cancelled.
 func SusceptibilityMatrixCtx(ctx context.Context, g *topology.Graph, cfg SusceptibilityConfig) ([]TierCell, error) {
 	if cfg.PairsPerCell <= 0 || cfg.MaxTier < 2 || cfg.Prepend < 1 {
 		return nil, errors.New("experiment: bad susceptibility config")
@@ -114,49 +107,41 @@ func SusceptibilityMatrixCtx(ctx context.Context, g *topology.Graph, cfg Suscept
 			}
 		}
 	}
-	nShards, err := normalizeShards(cfg.Shards, cfg.MemBudget)
-	if err != nil {
-		return nil, err
-	}
-	if nShards > 0 {
-		fractions, err := runShardedSusceptibility(ctx, g, cfg, nShards, jobs)
-		if err != nil {
-			return nil, err
-		}
-		return susCells(cfg, jobs, fractions)
-	}
-	cache := NewBaselineCacheObs(g, cfg.Counters)
-	fractions, cerr := parallel.MapScratchErr(ctx, len(jobs), cfg.Workers, routing.NewScratch,
-		func(s *routing.Scratch, i int) (float64, error) {
-			base, err := cache.Get(jobs[i].v, cfg.Prepend)
-			if err != nil {
-				return -1, baselineError(jobs[i].v, cfg.Prepend, err)
-			}
+	fractions := make([]float64, len(jobs))
+	err := runLegs(ctx, g, cfg.Workers, cfg.Counters, len(jobs),
+		func(i int) baselineKey { return baselineKey{jobs[i].v, cfg.Prepend} },
+		func(s *routing.Scratch, base *routing.Result, i int) error {
+			fractions[i] = -1
 			c, err := core.SimulateCountsEngineObs(g, core.Scenario{
 				Victim:            jobs[i].v,
 				Attacker:          jobs[i].m,
 				Prepend:           cfg.Prepend,
 				ViolateValleyFree: cfg.Violate,
 			}, base, s, cfg.Engine, cfg.Counters)
-			if routing.Skippable(err) {
-				cfg.Counters.AddSkippedUnreachable(1)
-				return -1, nil // skippable draw; the cell oversamples
+			if skipped(err, cfg.Counters) {
+				return nil // the cell oversamples
 			}
 			if err != nil {
-				return -1, fmt.Errorf("pair %v/%v: %w", jobs[i].v, jobs[i].m, err)
+				return fmt.Errorf("pair %v/%v: %w", jobs[i].v, jobs[i].m, err)
 			}
-			return c.After(), nil
+			fractions[i] = c.After()
+			return nil
 		})
-	if cerr != nil {
-		return nil, sweepError("susceptibility sweep", cerr)
+	if err != nil {
+		return nil, sweepError("susceptibility sweep", err)
 	}
 	return susCells(cfg, jobs, fractions)
 }
 
+// susJob is one pre-drawn susceptibility instance.
+type susJob struct {
+	vTier, aTier int
+	v, m         bgp.ASN
+}
+
 // susCells aggregates per-job pollution fractions (-1 = unusable draw)
 // into the sorted tier matrix, capping each cell at PairsPerCell in job
-// order — shared by the sharded and unsharded paths, so the aggregation
-// cannot drift between them.
+// order.
 func susCells(cfg SusceptibilityConfig, jobs []susJob, fractions []float64) ([]TierCell, error) {
 	cells := make(map[[2]int]*TierCell)
 	for i, f := range fractions {

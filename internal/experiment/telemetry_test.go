@@ -181,15 +181,16 @@ func TestSamplePairsSkippableRedrawn(t *testing.T) {
 // baseline-cache Get and then either one attack propagation or one
 // unreachable skip, so over a whole sweep:
 //
-//   - prop_base == cache_miss (every miss computes one baseline, even
-//     when a budgeted shard evicted and recomputes it);
+//   - prop_base == cache_miss (every (victim, λ) group of a chunk
+//     computes one baseline, even when the victim recurs in a later
+//     chunk);
 //   - prop_delta + prop_full + skip_unreachable == cache_hit + cache_miss,
 //     the draws consumed, which the chunked draw stream keeps a multiple
 //     of N;
 //   - prop_batch == 0: attack legs and sweep baselines never batch.
 //
-// The identities must hold, with the same totals, on the unsharded and
-// sharded paths and under both engines. The survey half pins the one
+// The identities must hold, with the same totals, at every worker count
+// and under both engines. The survey half pins the one
 // place lane batching survives: its table leg runs every origin as one
 // PropagateBatch lane, so prop_batch equals the number of origins.
 func TestSweepPropagationConservation(t *testing.T) {
@@ -205,7 +206,7 @@ func TestSweepPropagationConservation(t *testing.T) {
 		var want obs.Snapshot
 		for i, cfg := range []PairConfig{
 			{Workers: 2},
-			{Workers: 3, Shards: 3, MemBudget: 8 << 10},
+			{Workers: 7},
 			{Workers: 2, Engine: core.EngineFull},
 		} {
 			c := new(obs.Counters)
@@ -234,7 +235,7 @@ func TestSweepPropagationConservation(t *testing.T) {
 				continue
 			}
 			if s.AttackPropagations() != want.AttackPropagations() || s.SkippedUnreachable != want.SkippedUnreachable {
-				t.Errorf("%s config %d: attack legs %d, skips %d; the unsharded delta run had %d, %d",
+				t.Errorf("%s config %d: attack legs %d, skips %d; the 2-worker delta run had %d, %d",
 					tc.name, i, s.AttackPropagations(), s.SkippedUnreachable,
 					want.AttackPropagations(), want.SkippedUnreachable)
 			}

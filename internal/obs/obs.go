@@ -74,8 +74,8 @@ type Counters struct {
 	// Byte gauges: high-watermark memory footprints (DESIGN §5f). Unlike
 	// the counters above these are max-merged, not summed — each records
 	// the largest footprint any single recorder observed, so the reported
-	// value bounds the peak working set of one shard/worker rather than
-	// accumulating over the sweep.
+	// value bounds the peak working set of one worker (or serve shard)
+	// rather than accumulating over the sweep.
 	scratchBytes lineCounter
 	arenaBytes   lineCounter
 	cacheBytes   lineCounter
@@ -165,8 +165,8 @@ func (c *Counters) AddBatchCalls(n int64) {
 }
 
 // RecordScratchBytes raises the scratch-memory high-watermark gauge: the
-// per-worker propagation state (Scratch) footprint of the largest single
-// worker or shard.
+// footprint of the largest per-worker propagation Scratch. Every sweep
+// records it through the experiment package's leg executor.
 func (c *Counters) RecordScratchBytes(n int64) {
 	if c != nil {
 		c.scratchBytes.recordMax(n)
@@ -180,9 +180,10 @@ func (c *Counters) RecordArenaBytes(n int64) {
 	}
 }
 
-// RecordCacheBytes raises the baseline-cache high-watermark gauge: the
-// peak byte footprint of the largest single shard's BaselineCache. The
-// scale-smoke gate asserts this stays within the per-shard -mem-budget.
+// RecordCacheBytes raises the baseline high-watermark gauge: the largest
+// baseline Result a sweep worker held. A worker holds one baseline at a
+// time, so this is one baseline's footprint; the scale-smoke gate asserts
+// exactly that at 80k ASes.
 func (c *Counters) RecordCacheBytes(n int64) {
 	if c != nil {
 		c.cacheBytes.recordMax(n)
@@ -190,8 +191,8 @@ func (c *Counters) RecordCacheBytes(n int64) {
 }
 
 // RecordCSRBytes raises the topology (CSR graph) footprint gauge. The
-// graph is shared read-only across shards, so this is recorded once per
-// sweep rather than per worker.
+// graph is shared read-only by every worker, so each sweep records it
+// once rather than per worker.
 func (c *Counters) RecordCSRBytes(n int64) {
 	if c != nil {
 		c.csrBytes.recordMax(n)

@@ -412,9 +412,11 @@ func deltaResultInto(r *Result, baseline *Result, via []bool) *Result {
 // it into the Scratch's baseline slot. The returned Result is borrowed
 // from the Scratch's delta slot — independent of the baseline and attack
 // slots, so the usual baseline-then-attack pairing extends to all three.
-// Once warmed, the call is allocation-free; setup replays the previous
-// call's touched and rejection lists (O(previous cone)) instead of
-// clearing whole tables, so its cost scales with the cone, not the graph.
+// Once warmed, the call is allocation-free. Setup copies the baseline
+// into the delta slot (one sequential O(n) pass) and clears the dirty
+// and rejection tables by replaying the previous call's touched and
+// rejection lists (O(previous cone)); the walk itself visits only the
+// cone.
 // With s == nil a private Scratch is allocated.
 func PropagateAttackDelta(g *topology.Graph, ann Announcement, atk Attacker, baseline *Result, s *Scratch) (*Result, error) {
 	if err := ann.Validate(g); err != nil {
@@ -469,28 +471,11 @@ func PropagateAttackDelta(g *topology.Graph, ann Announcement, atk Attacker, bas
 	st.reject = s.reject[:n]
 	st.s = s
 
-	// Result setup. When the caller presents the same baseline object as
-	// the previous delta call on this Scratch — the cached-baseline sweep
-	// pattern — the delta slot already equals that baseline everywhere
-	// outside the previous call's cone, so repairing the previous cone's
-	// rows (replaying the still-intact touched list) brings it back to a
-	// pristine baseline copy in O(prev cone). Anything else falls back to
-	// the full O(n) copy. The Scratch's own baseline slot never qualifies:
-	// its pointer stays fixed while its contents change with every
-	// recomputation, so object identity would not imply equal contents.
-	res := &s.delta
-	if s.deltaBase == baseline && baseline != &s.base && res.g == g {
-		for _, i := range s.touched {
-			res.Class[i] = baseline.Class[i]
-			res.Len[i] = baseline.Len[i]
-			res.Prep[i] = baseline.Prep[i]
-			res.Parent[i] = baseline.Parent[i]
-			res.Via[i] = false
-		}
-	} else {
-		res = deltaResultInto(res, baseline, s.deltaVia)
-		s.deltaBase = baseline
-	}
+	// The delta slot starts as a full copy of the baseline. Repairing only
+	// the previous call's cone when the same baseline comes back is slower
+	// than this sequential copy once cones are large (tier-1 attackers at
+	// 80k ASes), and sweeps run a baseline's legs back to back.
+	res := deltaResultInto(&s.delta, baseline, s.deltaVia)
 	s.clearDeltaFlags()
 
 	s.clearRejects()

@@ -2,10 +2,9 @@ package routing
 
 import "unsafe"
 
-// Memory-footprint accounting (DESIGN §5f). The sharded sweep layer
-// budgets each shard's working set — baseline cache, propagation scratch,
-// lane tables — in bytes, and the obs byte gauges report the realized
-// high-watermarks. These methods compute the resident footprint of the
+// Memory-footprint accounting (DESIGN §5f). The obs byte gauges report
+// a sweep's realized high-watermarks — one baseline and one propagation
+// Scratch per worker — in bytes. These methods compute the resident footprint of the
 // routing-side structures from slice CAPACITIES (grown-but-unused tail
 // bytes are still resident) plus the fixed struct size; only the map
 // inside PathArena is estimated (Go exposes no exact bucket accounting),
@@ -30,8 +29,8 @@ const mapEntryOverheadBytes = 48
 const baselineBytesPerAS = 11
 
 // BaselineResultBytes predicts the footprint of one cached baseline for
-// an n-AS graph — the unit the BaselineCache budget is spent in. It is a
-// floor: Clone's append-allocated columns may round up to the allocator's
+// an n-AS graph — what one sweep worker holds, and what the cache_bytes
+// gauge reports. It is a floor: Clone's append-allocated columns may round up to the allocator's
 // size classes, which the capacity-based MemoryBytes on the actual Result
 // observes and this predictor ignores.
 func BaselineResultBytes(n int) int64 {
@@ -47,8 +46,8 @@ func (r *Result) backingBytes() int64 {
 }
 
 // MemoryBytes is the resident footprint of a standalone Result: struct
-// header plus column backing. This is what one cached baseline costs the
-// BaselineCache's byte budget.
+// header plus column backing. The sweep executor records it for each
+// baseline as the cache_bytes gauge.
 func (r *Result) MemoryBytes() int64 {
 	if r == nil {
 		return 0

@@ -103,15 +103,6 @@ type Scratch struct {
 	// deltaVia is the delta slot's Via storage.
 	deltaVia []bool
 
-	// deltaBase remembers which baseline the delta slot currently mirrors
-	// outside the previous call's cone. When the next delta call presents
-	// the same baseline object, setup repairs only the previous cone's
-	// rows instead of re-copying the whole baseline (see
-	// PropagateAttackDelta). Never dereferenced for its contents — only
-	// compared — so holding it keeps no extra state alive beyond the
-	// baseline the caller is reusing anyway.
-	deltaBase *Result
-
 	// base, atk and delta are the three reusable result slots.
 	base, atk, delta Result
 }

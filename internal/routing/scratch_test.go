@@ -198,11 +198,12 @@ func TestEpochWrapHardClear(t *testing.T) {
 	}
 }
 
-// TestDeltaBaselineRepairReuse pins the delta slot's baseline-repair path:
-// when consecutive delta calls present the same baseline object, setup
-// repairs only the previous cone instead of re-copying the whole baseline.
-// Alternating attackers and export modes against one long-lived cloned
-// baseline must keep agreeing with the full attack engine.
+// TestDeltaBaselineRepairReuse pins consecutive delta calls against one
+// baseline object on one Scratch — the sweep executor's pattern, where a
+// (victim, λ) group runs its legs back to back: the delta slot must be
+// restored from the baseline on every call, so alternating attackers and
+// export modes against one long-lived cloned baseline must keep agreeing
+// with the full attack engine, allocation-free once warmed.
 func TestDeltaBaselineRepairReuse(t *testing.T) {
 	cfg := topology.DefaultGenConfig(400)
 	cfg.Seed = 53
@@ -216,7 +217,7 @@ func TestDeltaBaselineRepairReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline := baseIn.Clone() // long-lived, as BaselineCache holds them
+	baseline := baseIn.Clone() // long-lived, as the sweep executor holds them
 
 	attackers := []Attacker{
 		{AS: g.Tier1s()[1]},
@@ -248,16 +249,16 @@ func TestDeltaBaselineRepairReuse(t *testing.T) {
 			}
 			compareResults(t, g, delta, want, label)
 			if t.Failed() {
-				t.Fatalf("%s (attacker #%d): repair path diverged", label, k)
+				t.Fatalf("%s (attacker #%d): reused-baseline delta diverged", label, k)
 			}
 		}
 	}
-	// After warmup, the repair path itself must be allocation-free.
+	// After warmup, a reused-baseline delta call must be allocation-free.
 	atk := attackers[0]
 	if avg := testing.AllocsPerRun(20, func() {
 		allocSinkResult, allocSinkErr = PropagateAttackDelta(g, ann, atk, baseline, s)
 	}); avg != 0 {
-		t.Errorf("repair-path PropagateAttackDelta allocates %.1f objects per run, want 0", avg)
+		t.Errorf("reused-baseline PropagateAttackDelta allocates %.1f objects per run, want 0", avg)
 	}
 	if allocSinkErr != nil {
 		t.Fatal(allocSinkErr)

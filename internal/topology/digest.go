@@ -57,9 +57,9 @@ const graphMapEntryBytes = 24
 // MemoryBytes is the resident footprint of the immutable CSR topology:
 // the adjacency arrays and their ASN mirror, the index map (estimated —
 // see graphMapEntryBytes), tiering and ordering tables. This is the
-// csr_bytes gauge every sweep shares read-only across shards (DESIGN
-// §5f); at internet80k scale it is a few tens of MB, dominated by the
-// two adjacency mirrors.
+// csr_bytes gauge every sweep records for the graph its workers share
+// read-only (DESIGN §5f); at internet80k scale it is about 9 MB,
+// dominated by the two adjacency mirrors.
 func (g *Graph) MemoryBytes() int64 {
 	if g == nil {
 		return 0
