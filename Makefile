@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: check build test race fuzz-smoke bench bench-smoke bench-json bench-diff scale-smoke serve-smoke lint-panics lint-paths
+.PHONY: check build test race fuzz-smoke bench bench-smoke bench-json bench-diff scale-smoke serve-smoke lint-fmt lint-panics lint-paths
 
 # Tier-1 matrix: everything CI gates on. The conservation differential
 # re-runs explicitly so a counter-attribution regression names itself in
 # the CI log instead of hiding inside the package sweep.
-check: lint-panics lint-paths
+check: lint-fmt lint-panics lint-paths
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
@@ -15,6 +15,14 @@ check: lint-panics lint-paths
 	$(MAKE) bench-smoke
 	$(MAKE) scale-smoke
 	$(MAKE) serve-smoke
+
+# Every Go file is gofmt-clean: any file `gofmt -l` lists fails the gate.
+lint-fmt:
+	@bad=$$(gofmt -l .); \
+	if [ -n "$$bad" ]; then \
+		echo "files not gofmt-formatted (run gofmt -w):"; \
+		echo "$$bad"; exit 1; \
+	fi
 
 # Sweep workers must return errors, never panic (DESIGN.md §6 "Error
 # contract"): non-test code in the gated packages may not call panic().

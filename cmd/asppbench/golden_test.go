@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -25,8 +26,9 @@ func goldenRun(t *testing.T, args ...string) []byte {
 }
 
 // TestGoldenFigures pins the exact TSV output of the fig5/fig6 (prepending
-// usage survey), fig9 (λ sweep) and fig13 (detection accuracy) experiments
-// at a fixed topology and seed. Any engine or model change that shifts a
+// usage survey), fig9 (λ sweep), fig13/fig14 (detection accuracy and
+// pollution before detection) and defense (§VIII monitor placement)
+// experiments at a fixed topology and seed. Any engine or model change that shifts a
 // single pollution count, rank, fraction or percentage shows up as a byte
 // diff here; intentional changes are re-pinned with -update. The fig5/fig6
 // goldens were pinned with the serial survey table leg, so they also hold
@@ -40,6 +42,8 @@ func TestGoldenFigures(t *testing.T) {
 		{name: "fig6", args: []string{"-exp", "fig6", "-n", "400", "-seed", "1"}},
 		{name: "fig9", args: []string{"-exp", "fig9", "-n", "400", "-seed", "1"}},
 		{name: "fig13", args: []string{"-exp", "fig13", "-n", "400", "-seed", "1", "-pairs", "20"}},
+		{name: "fig14", args: []string{"-exp", "fig14", "-n", "400", "-seed", "1", "-pairs", "20"}},
+		{name: "defense", args: []string{"-exp", "defense", "-n", "400", "-seed", "1"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -75,5 +79,24 @@ func TestGoldenEngineAgreement(t *testing.T) {
 	delta := goldenRun(t, append([]string{"-engine", "delta"}, base...)...)
 	if !bytes.Equal(full, delta) {
 		t.Errorf("-engine full and -engine delta disagree\nfull:\n%s\ndelta:\n%s", full, delta)
+	}
+}
+
+// TestSharedInputsMatchSingleRuns: experiments that share an input within
+// one run (fig5/fig6 the usage survey, fig13/fig14 the top-degree
+// detection outcome, fig13/inference the inferred relationships) print
+// exactly what each prints when it runs alone and computes the input
+// itself, whichever of them runs first.
+func TestSharedInputsMatchSingleRuns(t *testing.T) {
+	common := []string{"-n", "400", "-seed", "1", "-pairs", "20"}
+	for _, list := range []string{"fig5,fig6,fig13,fig14,inference", "fig14,inference,fig6,fig13,fig5"} {
+		var want []byte
+		for _, exp := range strings.Split(list, ",") {
+			want = append(want, goldenRun(t, append([]string{"-exp", exp}, common...)...)...)
+		}
+		got := goldenRun(t, append([]string{"-exp", list}, common...)...)
+		if !bytes.Equal(got, want) {
+			t.Errorf("-exp %s differs from its single-experiment runs concatenated\ngot:\n%s\nwant:\n%s", list, got, want)
+		}
 	}
 }

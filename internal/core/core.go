@@ -164,21 +164,12 @@ func (im *Impact) IsPolluted(asn bgp.ASN) bool {
 
 // HopsFromAttacker returns the number of AS hops between a polluted AS and
 // the attacker along its polluted path (1 = direct neighbor), or -1 if the
-// AS is not polluted. The detection-latency experiment uses this as the
-// bogus route's propagation time to that AS.
+// AS is not polluted. The detection-latency experiment models the bogus
+// route's propagation time to that AS as this distance (detect.EvalScratch
+// tabulates it for every polluted AS at once).
 func (im *Impact) HopsFromAttacker(asn bgp.ASN) int {
 	i, ok := im.attacked.Graph().Index(asn)
-	if !ok {
-		return -1
-	}
-	return im.HopsFromAttackerIdx(i)
-}
-
-// HopsFromAttackerIdx is HopsFromAttacker by dense graph index — the
-// detection-latency hot path iterates the Via slice directly and skips
-// the ASN round trip.
-func (im *Impact) HopsFromAttackerIdx(i int32) int {
-	if !im.attacked.Via[i] {
+	if !ok || !im.attacked.Via[i] {
 		return -1
 	}
 	atkIdx := mustIdx(im.attacked.Graph(), im.Scenario.Attacker)

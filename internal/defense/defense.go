@@ -21,6 +21,7 @@ import (
 
 	"aspp/internal/bgp"
 	"aspp/internal/core"
+	"aspp/internal/obs"
 	"aspp/internal/parallel"
 	"aspp/internal/routing"
 	"aspp/internal/stats"
@@ -76,6 +77,10 @@ type Config struct {
 	Violate bool
 	Seed    int64
 	Workers int
+	// Counters optionally collects propagation telemetry (one prop_base
+	// per attack draw's shared baseline, one prop_full per simulated
+	// attack, skip_* per unusable one); nil disables recording.
+	Counters *obs.Counters
 }
 
 // DefaultConfig returns a calibrated self-defense setup for one victim.
@@ -106,6 +111,11 @@ type attackSet struct {
 	impacts []*core.Impact
 }
 
+// drawAttacks returns the first n usable attacks (reachable, polluting
+// someone) among 20×n candidate attackers drawn from rng. All candidates
+// are drawn up front, so the rng stream never depends on how many are
+// simulated; they are then simulated in chunks of n, in candidate order,
+// stopping once n are usable.
 func drawAttacks(g *topology.Graph, cfg Config, n int, rng *rand.Rand) (*attackSet, error) {
 	asns := g.ASNs()
 	budget := n * 20
@@ -123,33 +133,39 @@ func drawAttacks(g *topology.Graph, cfg Config, n int, rng *rand.Rand) (*attackS
 	if err != nil {
 		return nil, fmt.Errorf("defense: baseline for %v: %w", cfg.Victim, err)
 	}
-	sims, serr := parallel.MapErr(context.Background(), len(candidates), cfg.Workers, func(i int) (*core.Impact, error) {
-		im, err := core.SimulateWithBaseline(g, core.Scenario{
-			Victim:            cfg.Victim,
-			Attacker:          candidates[i],
-			Prepend:           cfg.Prepend,
-			ViolateValleyFree: cfg.Violate,
-		}, base)
-		if routing.Skippable(err) {
-			return nil, nil // skippable draw: this attacker never hears the route
-		}
-		if err != nil {
-			return nil, fmt.Errorf("defense: attack %v against %v: %w", candidates[i], cfg.Victim, err)
-		}
-		if len(im.NewlyPolluted()) == 0 {
-			return nil, nil // no-op attack: undetectable by construction
-		}
-		return im, nil
-	})
-	if serr != nil {
-		return nil, serr
-	}
+	cfg.Counters.AddBasePropagations(1)
 	set := &attackSet{}
-	for _, im := range sims {
-		if im != nil {
-			set.impacts = append(set.impacts, im)
-			if len(set.impacts) == n {
-				break
+	for lo := 0; lo < len(candidates) && len(set.impacts) < n; lo += n {
+		chunk := candidates[lo:min(lo+n, len(candidates))]
+		sims, err := parallel.MapErr(context.Background(), len(chunk), cfg.Workers, func(i int) (*core.Impact, error) {
+			im, err := core.SimulateWithBaselineObs(g, core.Scenario{
+				Victim:            cfg.Victim,
+				Attacker:          chunk[i],
+				Prepend:           cfg.Prepend,
+				ViolateValleyFree: cfg.Violate,
+			}, base, cfg.Counters)
+			if routing.Skippable(err) {
+				cfg.Counters.AddSkippedUnreachable(1)
+				return nil, nil // skippable draw: this attacker never hears the route
+			}
+			if err != nil {
+				return nil, fmt.Errorf("defense: attack %v against %v: %w", chunk[i], cfg.Victim, err)
+			}
+			if len(im.NewlyPolluted()) == 0 {
+				cfg.Counters.AddSkippedIneffective(1)
+				return nil, nil // no-op attack: undetectable by construction
+			}
+			return im, nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		for _, im := range sims {
+			if im != nil {
+				set.impacts = append(set.impacts, im)
+				if len(set.impacts) == n {
+					break
+				}
 			}
 		}
 	}
